@@ -28,8 +28,6 @@ from .losses import (
     compute_loss,
     haseparator_loss,
     hinge_cost,
-    hyperplane_normals,
-    hyperplane_projections,
     scaled_cosine_logits,
     softmax_loss,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "gaussian_blobs",
     "haseparator_loss",
     "hinge_cost",
-    "hyperplane_normals",
-    "hyperplane_projections",
     "init_model",
     "kl_divergence",
     "load_checkpoint",

@@ -137,7 +137,8 @@ def load_delimited(
 
     The label column must hold integer class ids; the remaining columns are
     features, standardized per feature unless standardize_features=False.
-    Missing file, ragged rows, and non-numeric cells raise distinct errors.
+    Missing file, ragged rows, and non-numeric or non-finite (nan, inf)
+    cells raise distinct errors.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
@@ -161,6 +162,13 @@ def load_delimited(
         except ValueError as exc:
             raise NonNumericCellError(f"{path}: row {lineno}: {exc}") from exc
     table = np.array(parsed)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonNumericCellError(
+            f"{path}: row {row + 1}: non-finite value {float(table[row, col])!r} "
+            f"in column {col}"
+        )
     if table.shape[1] < 2:
         raise RaggedRowError(f"{path}: need at least 2 columns, got {table.shape[1]}")
     col = label_column % table.shape[1]

@@ -10,9 +10,10 @@ weight columns, oriented target-minus-other so that well-separated
 embeddings have large positive projections.
 
 All gradients are analytic (chain rule through the normalizations, the
-batched contraction, and the piecewise-linear hinge) and are validated
-against central finite differences in the test suite. The hinge uses the
-zero subgradient at its kink, like standard hinge-loss implementations.
+cosine and Gram-matrix closed form of the projections, and the
+piecewise-linear hinge) and are validated against central finite
+differences in the test suite. The hinge uses the zero subgradient at its
+kink, like standard hinge-loss implementations.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ LOSS_KINDS = (SOFTMAX, HASEPARATOR, ARCFACE)
 # Cosines are clamped this far inside [-1, 1] before arccos so the angular
 # margin path never sees an infinite derivative.
 _COS_CLAMP = 1e-12
+
+# Squared normal lengths below this are recomputed from the column
+# difference instead of the Gram matrix. The Gram form carries about 1e-15
+# of absolute rounding error, which would leave duplicate columns at
+# d ~ 3e-8 instead of 0 and cost near-duplicates more than 1e-13 of
+# relative accuracy in d.
+_GRAM_RECHECK = 1e-2
 
 
 @dataclass(frozen=True)
@@ -152,29 +160,6 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     return loss, grad / batch
 
 
-def hyperplane_normals(w_hat, labels) -> np.ndarray:
-    """Unit normals of each sample's target-class separation hyperplanes.
-
-    Slice i, column j is (w_hat[:, labels[i]] - w_hat[:, j]) normalized over
-    the feature axis; the target column j == labels[i] is the zero vector.
-    """
-    w_hat = as_matrix(w_hat)
-    labels = as_labels(labels, w_hat.shape[1])
-    batch = labels.shape[0]
-    expanded = tensor.broadcast_weights(w_hat, batch)
-    targets = tensor.gather_target_columns(w_hat, labels, replicate_to=w_hat.shape[1])
-    raw = targets - expanded
-    norms = np.sqrt(np.sum(raw * raw, axis=1))  # B x C
-    unit = raw / np.where(norms > EPSILON, norms, 1.0)[:, None, :]
-    unit[np.broadcast_to((norms <= EPSILON)[:, None, :], raw.shape)] = 0.0
-    return unit
-
-
-def hyperplane_projections(e_hat, h_hat) -> np.ndarray:
-    """Projections of unit embeddings onto their per-sample unit normals."""
-    return tensor.batched_contract(e_hat, h_hat)
-
-
 def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
     """Relaxed hinge margin - min(p, margin) per projection, target column masked.
 
@@ -206,8 +191,36 @@ def _prepare(e, w, labels):
     return e, w, labels
 
 
+def _inverse_normal_lengths(class_cols, w_hat) -> np.ndarray:
+    """1 / |class_cols[:, u] - w_hat[:, j]| for every (u, j); 0 where degenerate.
+
+    class_cols holds some columns of w_hat. The squared lengths come from the
+    Gram identity |a|^2 + |b|^2 - 2 <a, b>. Entries below _GRAM_RECHECK
+    (always each column with itself) are recomputed from the column
+    difference, so zero and collinear columns give exactly 0.
+    """
+    sq_norms = np.sum(w_hat * w_hat, axis=0)
+    class_sq_norms = np.sum(class_cols * class_cols, axis=0)
+    sq = class_sq_norms[:, None] + sq_norms - 2.0 * (class_cols.T @ w_hat)
+    u, j = np.nonzero(sq < _GRAM_RECHECK)
+    diff = class_cols[:, u] - w_hat[:, j]
+    sq[u, j] = np.sum(diff * diff, axis=0)
+    lengths = np.sqrt(sq)
+    return np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > EPSILON)
+
+
 def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
-    """Cross-entropy on scaled cosine logits plus the hyperplane hinge cost."""
+    """Cross-entropy on scaled cosine logits plus the hyperplane hinge cost.
+
+    Computed in closed form. The normal of pair (t, j) is
+    (w_hat_t - w_hat_j) / d_tj, so the projection of sample i is
+    p_ij = (cos_it - cos_ij) / d_tj, and the loss and both gradients follow
+    from the B x C cosine matrix and the rows of the Gram matrix
+    G = w_hat^T w_hat (d_tj^2 = G_tt + G_jj - 2 G_tj) for the batch's target
+    classes, without forming the B x N x C normals. Degenerate normals (the
+    target column, and pairs of zero or collinear class columns) give a
+    projection of exactly 0, a constant hinge cost and no gradient.
+    """
     e, w, labels = _prepare(e, w, labels)
     if w.shape[1] < 2:
         raise ConfigError("separator loss needs at least 2 classes")
@@ -218,39 +231,41 @@ def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
     e_hat, e_norms = _normalize_rows(e)
     w_hat, w_norms = _normalize_cols(w)
 
-    logits = sigma * (e_hat @ w_hat)
+    cosines = e_hat @ w_hat
+    logits = sigma * cosines
     ce_loss, grad_logits = softmax_cross_entropy(logits, labels)
 
-    # Hyperplane normals, kept in raw/unit form for the backward pass.
-    targets = w_hat[:, labels].T  # B x N
-    raw = targets[:, :, None] - w_hat[None, :, :]  # B x N x C
-    h_norms = np.sqrt(np.sum(raw * raw, axis=1))  # B x C
-    h_safe = np.where(h_norms > EPSILON, h_norms, 1.0)
-    h_hat = raw / h_safe[:, None, :]
-    h_hat[np.broadcast_to((h_norms <= EPSILON)[:, None, :], raw.shape)] = 0.0
+    # The target classes present in the batch, with
+    # classes[class_index[i]] == labels[i].
+    classes, class_index = np.unique(labels, return_inverse=True)
+    class_cols = w_hat[:, classes]
+    inv_lengths = _inverse_normal_lengths(class_cols, w_hat)[class_index]  # B x C
+    projections = (cosines[rows, labels][:, None] - cosines) * inv_lengths
+    _, separator_loss = hinge_cost(projections, margin, labels)
 
-    projections = np.einsum("ik,ikj->ij", e_hat, h_hat)
-    costs, separator_loss = hinge_cost(projections, margin, labels)
-
-    # Hinge subgradient: -1/B on active non-target entries, 0 elsewhere
-    # (including exactly at the kink p == margin).
+    # Hinge subgradient -1/B on active non-target entries, 0 elsewhere
+    # (including exactly at the kink p == margin), times dp/dcos = 1/d.
     active = projections < margin
     active[rows, labels] = False
-    grad_proj = np.where(active, -1.0 / batch, 0.0)
+    slope = np.where(active, -1.0 / batch, 0.0) * inv_lengths
 
-    grad_e_hat = sigma * (grad_logits @ w_hat.T)
-    grad_e_hat += np.einsum("ij,ikj->ik", grad_proj, h_hat)
+    # p_ij rises with cos_it and falls with cos_ij.
+    grad_cos = sigma * grad_logits - slope
+    grad_cos[rows, labels] += slope.sum(axis=1)
 
-    grad_h_hat = np.einsum("ij,ik->ikj", grad_proj, e_hat)
-    inner = np.sum(h_hat * grad_h_hat, axis=1, keepdims=True)  # B x 1 x C
-    grad_raw = (grad_h_hat - h_hat * inner) / h_safe[:, None, :]
-    grad_raw[np.broadcast_to((h_norms <= EPSILON)[:, None, :], raw.shape)] = 0.0
+    # S_tj = dL/dG_tj summed over the samples of target class t (zero rows
+    # for classes absent from the batch); through d_tj, G_tt and G_jj each
+    # take -S_tj / 2. Pulled back through G = w_hat^T w_hat this adds
+    # w_hat (S + S^T - diag(colsum S + rowsum S)).
+    gram_grad = np.bincount(
+        (class_index[:, None] * num_classes + np.arange(num_classes)).ravel(),
+        weights=(slope * projections * inv_lengths).ravel(),
+        minlength=classes.size * num_classes,
+    ).reshape(classes.size, num_classes)
+    grad_w_hat = e_hat.T @ grad_cos + class_cols @ gram_grad - w_hat * gram_grad.sum(axis=0)
+    grad_w_hat[:, classes] += (gram_grad @ w_hat.T).T - class_cols * gram_grad.sum(axis=1)
 
-    grad_w_hat = sigma * (e_hat.T @ grad_logits)
-    grad_w_hat -= grad_raw.sum(axis=0)
-    np.add.at(grad_w_hat.T, labels, grad_raw.sum(axis=2))
-
-    grad_e = _normalize_rows_backward(e_hat, e_norms, grad_e_hat)
+    grad_e = _normalize_rows_backward(e_hat, e_norms, grad_cos @ w_hat.T)
     grad_w = _normalize_cols_backward(w_hat, w_norms, grad_w_hat)
 
     return LossResult(

@@ -133,7 +133,8 @@ def pair_angles(
     All pairs are used when a kind has at most max_pairs_per_kind of them;
     otherwise a seeded uniform sample without replacement of exactly that
     many pairs is taken. All-zero embeddings have no direction and are
-    excluded with a warning.
+    excluded with a warning; non-finite embeddings (a diverged model) raise
+    ConfigError.
     """
     embeddings = as_matrix(embeddings)
     labels = as_labels(labels, int(np.max(labels)) + 1)
@@ -142,6 +143,9 @@ def pair_angles(
     if max_pairs_per_kind < 1:
         raise ConfigError("max_pairs_per_kind must be >= 1")
 
+    nonfinite = int(np.sum(~np.all(np.isfinite(embeddings), axis=1)))
+    if nonfinite:
+        raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
     norms = np.sqrt(np.sum(embeddings * embeddings, axis=1))
     keep = norms > EPSILON
     dropped = int(np.sum(~keep))

@@ -172,6 +172,8 @@ def load_checkpoint(path) -> MlpModel:
             values = np.array([[float(v) for v in ln.split()] for ln in block])
             if values.shape != (rows, cols):
                 raise CheckpointError(f"{path}: parameter {name} has wrong shape")
+            if not np.all(np.isfinite(values)):
+                raise CheckpointError(f"{path}: parameter {name} has non-finite values")
             params[name] = values
             pos += 1 + rows
     except CheckpointError:

@@ -1,10 +1,8 @@
-"""Dense float64 array operations used by the loss pipeline.
+"""Validated float64 matrix operations shared by the library.
 
-Matrices are 2-d float64 numpy arrays (row-major), rank-3 tensors are 3-d
-float64 arrays. Every operation validates shapes explicitly, allocates a
-fresh output array, and is deterministic. Broadcasting only happens through
-the two named broadcast operations below, so the hyperplane pipeline stays
-easy to audit.
+Matrices are 2-d float64 numpy arrays (row-major). Every operation
+validates shapes explicitly, allocates a fresh output array, and is
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,9 +11,9 @@ import numpy as np
 
 from .errors import LabelError, ShapeError
 
-# Norms at or below this threshold are treated as zero vectors: the
-# hyperplane construction necessarily produces one exactly-zero column per
-# sample (target minus itself), which downstream code masks.
+# Norms at or below this threshold are treated as zero vectors: zero
+# embeddings, zero class columns, and the degenerate hyperplane normals of a
+# class with itself or with a collinear class, which downstream code masks.
 EPSILON = 1e-12
 
 
@@ -27,16 +25,6 @@ def as_matrix(values) -> np.ndarray:
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise ShapeError(f"matrix dimensions must be positive, got {m.shape}")
     return m
-
-
-def as_tensor3(values) -> np.ndarray:
-    """Validate and convert to a 3-d float64 array with positive dimensions."""
-    t = np.asarray(values, dtype=np.float64)
-    if t.ndim != 3:
-        raise ShapeError(f"expected a 3-d array, got shape {t.shape}")
-    if min(t.shape) == 0:
-        raise ShapeError(f"tensor dimensions must be positive, got {t.shape}")
-    return t
 
 
 def as_labels(labels, num_classes: int) -> np.ndarray:
@@ -67,9 +55,7 @@ def _check_epsilon(epsilon: float) -> None:
 def l2_normalize_columns(m, epsilon: float = EPSILON) -> np.ndarray:
     """Scale each column to unit Euclidean norm.
 
-    Columns with norm <= epsilon come back as all zeros instead of raising:
-    the loss pipeline relies on this convention for the target-class
-    hyperplane column.
+    Columns with norm <= epsilon come back as all zeros instead of raising.
     """
     m = as_matrix(m)
     _check_epsilon(epsilon)
@@ -96,42 +82,3 @@ def matmul(a, b) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     return a @ b
-
-
-def batched_contract(e, h) -> np.ndarray:
-    """Per-sample contraction result[i, j] = sum_k e[i, k] * h[i, k, j].
-
-    This is the einsum "ik,ikj->ij": each embedding row is multiplied
-    against its own stack of column vectors, yielding one value per class.
-    """
-    e = as_matrix(e)
-    h = as_tensor3(h)
-    if e.shape[0] != h.shape[0] or e.shape[1] != h.shape[1]:
-        raise ShapeError(
-            f"embeddings {e.shape} incompatible with tensor {h.shape}"
-        )
-    return np.einsum("ik,ikj->ij", e, h)
-
-
-def broadcast_weights(w_hat, batch_size: int) -> np.ndarray:
-    """Replicate an N x C weight matrix into a batch_size x N x C tensor."""
-    w_hat = as_matrix(w_hat)
-    if batch_size < 1:
-        raise ShapeError(f"batch_size must be >= 1, got {batch_size}")
-    return np.broadcast_to(w_hat, (batch_size,) + w_hat.shape).copy()
-
-
-def gather_target_columns(w_hat, labels, replicate_to: int | None = None) -> np.ndarray:
-    """Stack each sample's target weight column into a B x N x 1 tensor.
-
-    With replicate_to=C the single class slot is repeated C times, so slice
-    i holds column labels[i] of w_hat in every class position.
-    """
-    w_hat = as_matrix(w_hat)
-    labels = as_labels(labels, w_hat.shape[1])
-    gathered = w_hat[:, labels].T[:, :, None]
-    if replicate_to is not None:
-        if replicate_to < 1:
-            raise ShapeError(f"replicate_to must be >= 1, got {replicate_to}")
-        gathered = np.repeat(gathered, replicate_to, axis=2)
-    return np.ascontiguousarray(gathered)

@@ -7,7 +7,10 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from haseparator.losses import HASEPARATOR, ARCFACE, compute_loss
+from haseparator import losses
+from haseparator.errors import ShapeError
+from haseparator.losses import HASEPARATOR, ARCFACE, LossResult, compute_loss
+from haseparator.tensor import EPSILON, as_labels, as_matrix
 
 FD_STEP = 1e-6
 
@@ -82,6 +85,125 @@ def smooth_instances(config, count, seed=0, batch=4, dim=5, classes=3):
         if away_from_kinks(e, w, labels, config):
             found += 1
             yield e, w, labels
+
+
+def as_tensor3(values) -> np.ndarray:
+    """Validate and convert to a 3-d float64 array with positive dimensions."""
+    t = np.asarray(values, dtype=np.float64)
+    if t.ndim != 3:
+        raise ShapeError(f"expected a 3-d array, got shape {t.shape}")
+    if min(t.shape) == 0:
+        raise ShapeError(f"tensor dimensions must be positive, got {t.shape}")
+    return t
+
+
+def batched_contract(e, h) -> np.ndarray:
+    """Per-sample contraction result[i, j] = sum_k e[i, k] * h[i, k, j]."""
+    e = as_matrix(e)
+    h = as_tensor3(h)
+    if e.shape[0] != h.shape[0] or e.shape[1] != h.shape[1]:
+        raise ShapeError(f"embeddings {e.shape} incompatible with tensor {h.shape}")
+    return np.einsum("ik,ikj->ij", e, h)
+
+
+def broadcast_weights(w_hat, batch_size: int) -> np.ndarray:
+    """Replicate an N x C weight matrix into a batch_size x N x C tensor."""
+    w_hat = as_matrix(w_hat)
+    if batch_size < 1:
+        raise ShapeError(f"batch_size must be >= 1, got {batch_size}")
+    return np.broadcast_to(w_hat, (batch_size,) + w_hat.shape).copy()
+
+
+def gather_target_columns(w_hat, labels, replicate_to: int | None = None) -> np.ndarray:
+    """Stack each sample's target weight column into a B x N x 1 tensor.
+
+    With replicate_to=C the single class slot is repeated C times, so slice
+    i holds column labels[i] of w_hat in every class position.
+    """
+    w_hat = as_matrix(w_hat)
+    labels = as_labels(labels, w_hat.shape[1])
+    gathered = w_hat[:, labels].T[:, :, None]
+    if replicate_to is not None:
+        if replicate_to < 1:
+            raise ShapeError(f"replicate_to must be >= 1, got {replicate_to}")
+        gathered = np.repeat(gathered, replicate_to, axis=2)
+    return np.ascontiguousarray(gathered)
+
+
+def hyperplane_normals(w_hat, labels) -> np.ndarray:
+    """B x N x C unit normals of each sample's target-class hyperplanes.
+
+    Slice i, column j is (w_hat[:, labels[i]] - w_hat[:, j]) normalized over
+    the feature axis; normals of length <= EPSILON (the target column, zero
+    or collinear class columns) are the zero vector.
+    """
+    w_hat = as_matrix(w_hat)
+    labels = as_labels(labels, w_hat.shape[1])
+    expanded = broadcast_weights(w_hat, labels.shape[0])
+    targets = gather_target_columns(w_hat, labels, replicate_to=w_hat.shape[1])
+    raw = targets - expanded
+    norms = np.sqrt(np.sum(raw * raw, axis=1))  # B x C
+    unit = raw / np.where(norms > EPSILON, norms, 1.0)[:, None, :]
+    unit[np.broadcast_to((norms <= EPSILON)[:, None, :], raw.shape)] = 0.0
+    return unit
+
+
+def hyperplane_projections(e_hat, h_hat) -> np.ndarray:
+    """Projections of unit embeddings onto their per-sample unit normals."""
+    return batched_contract(e_hat, h_hat)
+
+
+def dense_haseparator_loss(e, w, labels, config) -> LossResult:
+    """The separator loss built from the explicit B x N x C normals.
+
+    An independent oracle for the closed-form Gram kernel in
+    haseparator.losses: projections are dot products with materialized
+    normals, and the weight gradient is pulled back through each normal's
+    normalization separately.
+    """
+    e, w, labels = losses._prepare(e, w, labels)
+    sigma, margin = config.sigma, config.margin
+    batch = e.shape[0]
+    rows = np.arange(batch)
+
+    e_hat, e_norms = losses._normalize_rows(e)
+    w_hat, w_norms = losses._normalize_cols(w)
+    logits = sigma * (e_hat @ w_hat)
+    ce_loss, grad_logits = losses.softmax_cross_entropy(logits, labels)
+
+    raw = gather_target_columns(w_hat, labels, w_hat.shape[1]) - broadcast_weights(w_hat, batch)
+    h_norms = np.sqrt(np.sum(raw * raw, axis=1))  # B x C
+    degenerate = np.broadcast_to((h_norms <= EPSILON)[:, None, :], raw.shape)
+    h_safe = np.where(h_norms > EPSILON, h_norms, 1.0)
+    h_hat = hyperplane_normals(w_hat, labels)
+    projections = hyperplane_projections(e_hat, h_hat)
+    _, separator_loss = losses.hinge_cost(projections, margin, labels)
+
+    active = projections < margin
+    active[rows, labels] = False
+    grad_proj = np.where(active, -1.0 / batch, 0.0)
+
+    grad_e_hat = sigma * (grad_logits @ w_hat.T)
+    grad_e_hat += np.einsum("ij,ikj->ik", grad_proj, h_hat)
+
+    grad_h_hat = np.einsum("ij,ik->ikj", grad_proj, e_hat)
+    inner = np.sum(h_hat * grad_h_hat, axis=1, keepdims=True)  # B x 1 x C
+    grad_raw = (grad_h_hat - h_hat * inner) / h_safe[:, None, :]
+    grad_raw[degenerate] = 0.0
+
+    grad_w_hat = sigma * (e_hat.T @ grad_logits)
+    grad_w_hat -= grad_raw.sum(axis=0)
+    np.add.at(grad_w_hat.T, labels, grad_raw.sum(axis=2))
+
+    return LossResult(
+        total_loss=ce_loss + separator_loss,
+        ce_loss=ce_loss,
+        separator_loss=separator_loss,
+        logits=logits,
+        projections=projections,
+        grad_embeddings=losses._normalize_rows_backward(e_hat, e_norms, grad_e_hat),
+        grad_weights=losses._normalize_cols_backward(w_hat, w_norms, grad_w_hat),
+    )
 
 
 def transport_cost(p, q, locations) -> float:

@@ -146,6 +146,13 @@ class TestLoadDelimited:
         with pytest.raises(NonNumericCellError):
             load_delimited(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_the_row(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1,2,0\n3,{cell},1\n")
+        with pytest.raises(NonNumericCellError, match="row 2"):
+            load_delimited(path)
+
     def test_fractional_label_rejected(self, tmp_path):
         path = tmp_path / "frac.csv"
         path.write_text("1,2,0.5\n3,4,1\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,14 +16,15 @@ from haseparator.losses import (
     compute_loss,
     haseparator_loss,
     hinge_cost,
-    hyperplane_normals,
-    hyperplane_projections,
     scaled_cosine_logits,
     softmax_cross_entropy,
     softmax_loss,
 )
 from helpers import (
+    dense_haseparator_loss,
     finite_difference_grads,
+    hyperplane_normals,
+    hyperplane_projections,
     random_instance,
     relative_error,
     smooth_instances,
@@ -304,6 +305,100 @@ class TestHaseparatorForward:
             e - lr * res.grad_embeddings, w - lr * res.grad_weights, labels, cfg
         )
         assert stepped.total_loss < res.total_loss
+
+
+def assert_matches_dense_oracle(e, w, labels, config, tol=1e-12, atol=0.0):
+    """The closed-form kernel agrees with the dense B x N x C construction.
+
+    Each array must be within tol relative error or, for arrays that are
+    analytically zero, within atol absolute error.
+    """
+    res = haseparator_loss(e, w, labels, config)
+    ref = dense_haseparator_loss(e, w, labels, config)
+    for name in ("projections", "grad_embeddings", "grad_weights"):
+        got, want = getattr(res, name), getattr(ref, name)
+        assert (
+            relative_error(got, want) <= tol or np.max(np.abs(got - want)) <= atol
+        ), name
+    assert res.total_loss == pytest.approx(ref.total_loss, rel=tol, abs=0)
+    assert res.separator_loss == pytest.approx(ref.separator_loss, rel=tol, abs=tol)
+    return res
+
+
+def degenerate_normals(w, labels):
+    """B x C mask of the normals the dense oracle builds as zero vectors."""
+    norms = np.linalg.norm(w, axis=0)
+    w_hat = w / np.where(norms > 0, norms, 1.0)
+    return np.linalg.norm(hyperplane_normals(w_hat, labels), axis=1) == 0.0
+
+
+class TestDegenerateClassColumns:
+    """Zero or collinear class columns: projection 0, no gradient through the normal."""
+
+    def check(self, e, w, labels, config, atol=0.0):
+        res = assert_matches_dense_oracle(e, w, labels, config, atol=atol)
+        for arr in (res.projections, res.grad_embeddings, res.grad_weights, res.logits):
+            assert np.all(np.isfinite(arr))
+        assert np.isfinite(res.total_loss)
+        return res
+
+    def test_zero_class_columns(self):
+        rng = np.random.default_rng(30)
+        e, w, _ = random_instance(rng, batch=8, dim=5, classes=4)
+        w[:, 0] = 0.0
+        w[:, 3] = 0.0
+        labels = np.array([0, 3, 1, 2, 0, 3, 1, 2])
+        degenerate = degenerate_normals(w, labels)
+        assert degenerate[0, 3] and degenerate[1, 0]  # the two zero columns pair up
+        res = self.check(e, w, labels, LossConfig(sigma=3.0, margin=0.8))
+        assert np.all(res.projections[degenerate] == 0.0)
+
+    def test_duplicate_class_column(self):
+        rng = np.random.default_rng(31)
+        e, w, _ = random_instance(rng, batch=9, dim=6, classes=5)
+        w[:, 2] = 2.0 * w[:, 1]
+        labels = np.array([0, 1, 2, 3, 4, 1, 2, 1, 2])
+        degenerate = degenerate_normals(w, labels)
+        # each target column, plus the other duplicate for the six samples of class 1 or 2
+        assert degenerate.sum() == labels.size + 6
+        res = self.check(e, w, labels, LossConfig(sigma=2.0, margin=0.6))
+        assert np.all(res.projections[degenerate] == 0.0)
+
+    def test_two_collinear_classes_single_sample(self):
+        # the only non-target normal is degenerate: the hinge is the constant
+        # margin and the gradients are exactly those of softmax, whose
+        # embedding gradient is analytically zero here (equal cosines)
+        e = np.array([[0.3, -1.2, 0.5]])
+        w = np.array([[1.0, 0.5], [2.0, 1.0], [-1.0, -0.5]])
+        config = LossConfig(sigma=2.5, margin=0.7)
+        res = self.check(e, w, [1], config, atol=1e-15)
+        assert res.projections.tolist() == [[0.0, 0.0]]
+        assert res.separator_loss == config.margin
+        ref = softmax_loss(e, w, [1], LossConfig(loss_kind=SOFTMAX, sigma=2.5))
+        np.testing.assert_array_equal(res.grad_embeddings, ref.grad_embeddings)
+        np.testing.assert_array_equal(res.grad_weights, ref.grad_weights)
+
+
+class TestClosedFormMatchesDenseOracle:
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 16),
+        st.integers(2, 50),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 16.0),
+        st.floats(0.05, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_shapes(self, batch, dim, classes, seed, sigma, margin):
+        rng = np.random.default_rng(seed)
+        e, w, labels = random_instance(rng, batch, dim, classes)
+        # Near-duplicate class directions (0 < d^2 < 1e-4) are outside the
+        # claim: the cancellation in cos_t - cos_j costs about eps / d^2 of
+        # relative accuracy there. Exact duplicates are covered above.
+        w_hat = w / np.linalg.norm(w, axis=0)
+        sq = np.sum((w_hat[:, :, None] - w_hat[:, None, :]) ** 2, axis=0)
+        assume(np.all((sq == 0.0) | (sq >= 1e-4)))
+        assert_matches_dense_oracle(e, w, labels, LossConfig(sigma=sigma, margin=margin))
 
 
 class TestGradientOracles:

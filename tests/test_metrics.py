@@ -79,6 +79,12 @@ class TestPairAngles:
         assert len(pos) == 1  # rows 0 and 4 remain in class 0
         assert len(neg) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rows_rejected_not_dropped_as_zero(self, bad):
+        e = np.array([[1.0, 0.0], [bad, 0.0], [0.0, 1.0], [0.0, bad], [1.0, 1.0]])
+        with pytest.raises(ConfigError, match="2 embeddings are non-finite"):
+            pair_angles(e, [0, 0, 1, 1, 0])
+
     def test_sampling_caps_counts_and_is_deterministic(self):
         rng = np.random.default_rng(2)
         e = rng.normal(size=(60, 5))

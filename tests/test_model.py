@@ -203,3 +203,12 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nope.txt")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_names_it(self, tmp_path, value):
+        model = init_model((3, 4), 2, seed=15)
+        model.class_weights[1, 0] = float(value)
+        path = tmp_path / "model.txt"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="class_weights"):
+            load_checkpoint(path)

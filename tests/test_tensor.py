@@ -8,14 +8,13 @@ from haseparator.errors import LabelError, ShapeError
 from haseparator.tensor import (
     as_labels,
     as_matrix,
-    as_tensor3,
-    batched_contract,
-    broadcast_weights,
-    gather_target_columns,
     l2_normalize_columns,
     l2_normalize_rows,
     matmul,
 )
+
+# The rank-3 operations of the dense separator oracle live in the tests.
+from helpers import as_tensor3, batched_contract, broadcast_weights, gather_target_columns
 
 finite_matrices = hnp.arrays(
     np.float64,
