@@ -191,20 +191,19 @@ def _prepare(e, w, labels):
     return e, w, labels
 
 
-def _inverse_normal_lengths(class_cols, w_hat) -> np.ndarray:
-    """1 / |class_cols[:, u] - w_hat[:, j]| for every (u, j); 0 where degenerate.
+def _inverse_normal_lengths(w_hat) -> np.ndarray:
+    """1 / |w_hat[:, t] - w_hat[:, j]| for every class pair (t, j); 0 where degenerate.
 
-    class_cols holds some columns of w_hat. The squared lengths come from the
-    Gram identity |a|^2 + |b|^2 - 2 <a, b>. Entries below _GRAM_RECHECK
-    (always each column with itself) are recomputed from the column
-    difference, so zero and collinear columns give exactly 0.
+    The squared lengths come from the Gram identity G_tt + G_jj - 2 G_tj.
+    Entries below _GRAM_RECHECK (always the diagonal) are recomputed from the
+    column difference, so zero and collinear columns give exactly 0.
     """
-    sq_norms = np.sum(w_hat * w_hat, axis=0)
-    class_sq_norms = np.sum(class_cols * class_cols, axis=0)
-    sq = class_sq_norms[:, None] + sq_norms - 2.0 * (class_cols.T @ w_hat)
-    u, j = np.nonzero(sq < _GRAM_RECHECK)
-    diff = class_cols[:, u] - w_hat[:, j]
-    sq[u, j] = np.sum(diff * diff, axis=0)
+    gram = w_hat.T @ w_hat
+    sq_norms = np.diag(gram)
+    sq = sq_norms[:, None] + sq_norms - 2.0 * gram
+    t, j = np.nonzero(sq < _GRAM_RECHECK)
+    diff = w_hat[:, t] - w_hat[:, j]
+    sq[t, j] = np.sum(diff * diff, axis=0)
     lengths = np.sqrt(sq)
     return np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > EPSILON)
 
@@ -215,11 +214,11 @@ def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
     Computed in closed form. The normal of pair (t, j) is
     (w_hat_t - w_hat_j) / d_tj, so the projection of sample i is
     p_ij = (cos_it - cos_ij) / d_tj, and the loss and both gradients follow
-    from the B x C cosine matrix and the rows of the Gram matrix
-    G = w_hat^T w_hat (d_tj^2 = G_tt + G_jj - 2 G_tj) for the batch's target
-    classes, without forming the B x N x C normals. Degenerate normals (the
-    target column, and pairs of zero or collinear class columns) give a
-    projection of exactly 0, a constant hinge cost and no gradient.
+    from the B x C cosine matrix and the C x C Gram matrix
+    G = w_hat^T w_hat (d_tj^2 = G_tt + G_jj - 2 G_tj), without forming the
+    B x N x C normals. Degenerate normals (the target column, and pairs of
+    zero or collinear class columns) give a projection of exactly 0, a
+    constant hinge cost and no gradient.
     """
     e, w, labels = _prepare(e, w, labels)
     if w.shape[1] < 2:
@@ -235,12 +234,13 @@ def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
     logits = sigma * cosines
     ce_loss, grad_logits = softmax_cross_entropy(logits, labels)
 
-    # The target classes present in the batch, with
-    # classes[class_index[i]] == labels[i].
-    classes, class_index = np.unique(labels, return_inverse=True)
-    class_cols = w_hat[:, classes]
-    inv_lengths = _inverse_normal_lengths(class_cols, w_hat)[class_index]  # B x C
-    projections = (cosines[rows, labels][:, None] - cosines) * inv_lengths
+    inv_lengths = _inverse_normal_lengths(w_hat)[labels]  # B x C
+    # Projections onto unit normals lie in [-1, 1]. The clip only removes
+    # the rounding of cos_it - cos_ij, which 1 / d amplifies for nearly
+    # collinear columns.
+    projections = np.clip(
+        (cosines[rows, labels][:, None] - cosines) * inv_lengths, -1.0, 1.0
+    )
     _, separator_loss = hinge_cost(projections, margin, labels)
 
     # Hinge subgradient -1/B on active non-target entries, 0 elsewhere
@@ -253,17 +253,19 @@ def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
     grad_cos = sigma * grad_logits - slope
     grad_cos[rows, labels] += slope.sum(axis=1)
 
-    # S_tj = dL/dG_tj summed over the samples of target class t (zero rows
-    # for classes absent from the batch); through d_tj, G_tt and G_jj each
-    # take -S_tj / 2. Pulled back through G = w_hat^T w_hat this adds
-    # w_hat (S + S^T - diag(colsum S + rowsum S)).
+    # S_tj = dL/dG_tj summed over the samples of target class t; through
+    # d_tj, G_tt and G_jj each take -S_tj / 2. Pulled back through
+    # G = w_hat^T w_hat this adds w_hat (S + S^T - diag(colsum S + rowsum S)).
     gram_grad = np.bincount(
-        (class_index[:, None] * num_classes + np.arange(num_classes)).ravel(),
+        (labels[:, None] * num_classes + np.arange(num_classes)).ravel(),
         weights=(slope * projections * inv_lengths).ravel(),
-        minlength=classes.size * num_classes,
-    ).reshape(classes.size, num_classes)
-    grad_w_hat = e_hat.T @ grad_cos + class_cols @ gram_grad - w_hat * gram_grad.sum(axis=0)
-    grad_w_hat[:, classes] += (gram_grad @ w_hat.T).T - class_cols * gram_grad.sum(axis=1)
+        minlength=num_classes * num_classes,
+    ).reshape(num_classes, num_classes)
+    grad_w_hat = (
+        e_hat.T @ grad_cos
+        + w_hat @ (gram_grad + gram_grad.T)
+        - w_hat * (gram_grad.sum(axis=0) + gram_grad.sum(axis=1))
+    )
 
     grad_e = _normalize_rows_backward(e_hat, e_norms, grad_cos @ w_hat.T)
     grad_w = _normalize_cols_backward(w_hat, w_norms, grad_w_hat)

@@ -378,6 +378,30 @@ class TestDegenerateClassColumns:
         np.testing.assert_array_equal(res.grad_embeddings, ref.grad_embeddings)
         np.testing.assert_array_equal(res.grad_weights, ref.grad_weights)
 
+    def test_nearly_collinear_columns_keep_projection_range(self):
+        # Two class columns 1e-9 rad apart in a rotated basis: the rounding
+        # of cos_t - cos_j, about 1e-16, is divided by d ~ 1e-9. Embeddings
+        # along the pair's normal must still project into [-1, 1], and each
+        # hinge cost stays within margin + 1.
+        dim, delta, margin = 8, 1e-9, 1.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            w = np.zeros((dim, 3))
+            w[0, 0], w[0, 1], w[1, 1], w[2, 2] = 1.0, math.cos(delta), math.sin(delta), 1.0
+            w = basis @ w
+            normal = -basis[:, 1]  # direction of w_hat_0 - w_hat_1
+            e = np.stack([normal, -normal, normal + 0.3 * basis[:, 2]])
+            labels = np.array([0, 1, 0])
+            res = haseparator_loss(e, w, labels, LossConfig(sigma=3.0, margin=margin))
+            for arr in (res.projections, res.grad_embeddings, res.grad_weights):
+                assert np.all(np.isfinite(arr))
+            assert np.all(np.abs(res.projections) <= 1.0)
+            np.testing.assert_allclose(res.projections[:2, :2], [[0, 1], [1, 0]], atol=1e-6)
+            costs, _ = hinge_cost(res.projections, margin, labels)
+            assert np.all(costs <= margin + 1.0)
+            assert res.separator_loss <= (margin + 1.0) * (w.shape[1] - 1)
+
 
 class TestClosedFormMatchesDenseOracle:
     @given(
