@@ -27,9 +27,9 @@ from .runner import (
     DatasetConfig,
     ExperimentConfig,
     SweepConfig,
-    _derive_seeds,
     build_datasets,
     default_seeds,
+    derive_seeds,
     evaluate_model,
     run_experiment,
     run_sweep,
@@ -264,7 +264,7 @@ def cmd_eval(args) -> int:
     out = _require_out(opts)
     model = load_checkpoint(checkpoint_path)
 
-    seeds = _derive_seeds(opts.get("seed"))
+    seeds = derive_seeds(opts.get("seed"))
     train_data, test_data = build_datasets(_dataset_config(opts), seeds["data"])
     if train_data.dim != model.layer_dims[0]:
         raise ShapeError(

@@ -68,58 +68,16 @@ def _pair_rank_sample(total: int, cap: int, rng) -> np.ndarray:
     chosen = np.array([], dtype=np.int64)
     while chosen.size < cap:
         draw = rng.integers(0, total, size=2 * (cap - chosen.size) + 16)
-        chosen = np.union1d(chosen, draw)
+        # Sorted distinct values, as np.union1d gives, without its hash pass.
+        merged = np.sort(np.concatenate([chosen, draw]))
+        chosen = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
     return chosen[rng.permutation(chosen.size)[:cap]]
 
 
-def _unrank_within_class(ranks, members):
-    """Map pair ranks to (i, j) index pairs within one class, lexicographic order."""
-    n = members.size
-    row_sizes = np.arange(n - 1, 0, -1)
-    starts = np.concatenate([[0], np.cumsum(row_sizes)])
-    a = np.searchsorted(starts, ranks, side="right") - 1
-    b = a + 1 + (ranks - starts[a])
-    return members[a], members[b]
-
-
-def _positive_pairs(members_by_class, ranks):
-    totals = np.array([m.size * (m.size - 1) // 2 for m in members_by_class])
-    block_starts = np.concatenate([[0], np.cumsum(totals)])
-    block = np.searchsorted(block_starts, ranks, side="right") - 1
-    first = np.empty(ranks.size, dtype=np.int64)
-    second = np.empty(ranks.size, dtype=np.int64)
-    for c, members in enumerate(members_by_class):
-        in_block = block == c
-        if not np.any(in_block):
-            continue
-        local = ranks[in_block] - block_starts[c]
-        first[in_block], second[in_block] = _unrank_within_class(local, members)
-    return first, second
-
-
-def _negative_pairs(members_by_class, ranks):
-    num_classes = len(members_by_class)
-    blocks = [
-        (c1, c2)
-        for c1 in range(num_classes)
-        for c2 in range(c1 + 1, num_classes)
-    ]
-    totals = np.array(
-        [members_by_class[c1].size * members_by_class[c2].size for c1, c2 in blocks]
-    )
-    block_starts = np.concatenate([[0], np.cumsum(totals)])
-    which = np.searchsorted(block_starts, ranks, side="right") - 1
-    first = np.empty(ranks.size, dtype=np.int64)
-    second = np.empty(ranks.size, dtype=np.int64)
-    for b, (c1, c2) in enumerate(blocks):
-        in_block = which == b
-        if not np.any(in_block):
-            continue
-        local = ranks[in_block] - block_starts[b]
-        a_local, b_local = np.divmod(local, members_by_class[c2].size)
-        first[in_block] = members_by_class[c1][a_local]
-        second[in_block] = members_by_class[c2][b_local]
-    return first, second
+def _locate(starts, ranks):
+    """Block holding each rank, given ascending block starts, and the offset in it."""
+    block = np.searchsorted(starts, ranks, side="right") - 1
+    return block, ranks - starts[block]
 
 
 def pair_angles(
@@ -137,7 +95,9 @@ def pair_angles(
     ConfigError.
     """
     embeddings = as_matrix(embeddings)
-    labels = as_labels(labels, int(np.max(labels)) + 1)
+    labels = np.asarray(labels)
+    # as_labels rejects empty labels before the class bound matters.
+    labels = as_labels(labels, int(np.max(labels)) + 1 if labels.size else 1)
     if labels.shape[0] != embeddings.shape[0]:
         raise ConfigError("labels must match embedding rows")
     if max_pairs_per_kind < 1:
@@ -146,21 +106,40 @@ def pair_angles(
     nonfinite = int(np.sum(~np.all(np.isfinite(embeddings), axis=1)))
     if nonfinite:
         raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
-    norms = np.sqrt(np.sum(embeddings * embeddings, axis=1))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(embeddings * embeddings, axis=1))
     keep = norms > EPSILON
     dropped = int(np.sum(~keep))
     if dropped:
         warnings.warn(f"excluded {dropped} zero embeddings from pair angles")
-    unit = embeddings[keep] / norms[keep][:, None]
+    kept, kept_norms = embeddings[keep], norms[keep]
+    huge = ~np.isfinite(kept_norms)
+    if np.any(huge):
+        # Finite rows whose squared norm overflows: normalize them rescaled.
+        kept[huge] /= np.max(np.abs(kept[huge]), axis=1, keepdims=True)
+        kept_norms[huge] = np.sqrt(np.sum(kept[huge] * kept[huge], axis=1))
+    unit = kept / kept_norms[:, None]
     kept_labels = labels[keep]
     if unit.shape[0] < 2:
         raise ConfigError("need at least 2 nonzero embeddings")
 
-    classes = np.unique(kept_labels)
-    members_by_class = [np.flatnonzero(kept_labels == c) for c in classes]
-    pos_total = sum(m.size * (m.size - 1) // 2 for m in members_by_class)
-    total_pairs = unit.shape[0] * (unit.shape[0] - 1) // 2
-    neg_total = total_pairs - pos_total
+    # Members sorted by class; the classes present, their sizes and offsets.
+    order = np.argsort(kept_labels, kind="stable")
+    sizes = np.bincount(kept_labels)
+    sizes = sizes[sizes > 0]
+    offsets = np.cumsum(sizes) - sizes
+    # Positive pairs, lexicographic: sorted position a pairs with each later
+    # member of its class, one row per position that has one.
+    later = np.repeat(offsets + sizes, sizes) - np.arange(order.size) - 1
+    rows = np.flatnonzero(later)
+    row_starts = np.cumsum(later[rows]) - later[rows]
+    # Negative pairs: one block per class pair c1 < c2, lexicographic, each
+    # a c1 member (major) times a c2 member (minor).
+    c1, c2 = np.triu_indices(sizes.size, 1)
+    block_sizes = sizes[c1] * sizes[c2]
+    block_starts = np.cumsum(block_sizes) - block_sizes
+    pos_total = int(later.sum())
+    neg_total = int(block_sizes.sum())
     if pos_total == 0:
         raise ConfigError("no positive pairs: every class has fewer than 2 members")
     if neg_total == 0:
@@ -169,8 +148,13 @@ def pair_angles(
     rng = np.random.default_rng(seed)
     pos_ranks = _pair_rank_sample(pos_total, max_pairs_per_kind, rng)
     neg_ranks = _pair_rank_sample(neg_total, max_pairs_per_kind, rng)
-    pos_i, pos_j = _positive_pairs(members_by_class, pos_ranks)
-    neg_i, neg_j = _negative_pairs(members_by_class, neg_ranks)
+    row, step = _locate(row_starts, pos_ranks)
+    pos_a = rows[row]
+    pos_i, pos_j = order[pos_a], order[pos_a + 1 + step]
+    block, local = _locate(block_starts, neg_ranks)
+    major, minor = np.divmod(local, sizes[c2[block]])
+    neg_i = order[offsets[c1[block]] + major]
+    neg_j = order[offsets[c2[block]] + minor]
 
     def _angles(i, j):
         cos = np.einsum("ij,ij->i", unit[i], unit[j])

@@ -115,7 +115,8 @@ class ExperimentResult:
     scores: dict[str, DiscriminationScores]
 
 
-def _derive_seeds(seed) -> dict[str, int]:
+def derive_seeds(seed) -> dict[str, int]:
+    """Independent per-stage seeds (data, init, train, evaluation) from one run seed."""
     state = np.random.SeedSequence(seed).generate_state(5)
     names = ("data", "init", "train", "eval_train", "eval_test")
     return {name: int(value) for name, value in zip(names, state)}
@@ -159,7 +160,7 @@ def evaluate_model(
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Train one model and evaluate both splits; write artifacts when asked."""
-    seeds = _derive_seeds(config.seed)
+    seeds = derive_seeds(config.seed)
     train_data, test_data = build_datasets(config.dataset, seeds["data"])
     layer_dims = (train_data.dim, *config.hidden_dims, config.embedding_dim)
     model = init_model(layer_dims, train_data.num_classes, seeds["init"])

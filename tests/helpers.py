@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from haseparator import losses
-from haseparator.errors import ShapeError
+from haseparator.errors import ConfigError, ShapeError
 from haseparator.losses import HASEPARATOR, ARCFACE, LossResult, compute_loss
 from haseparator.tensor import EPSILON, as_labels, as_matrix
 
@@ -224,3 +224,106 @@ def transport_cost(p, q, locations) -> float:
     result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert result.success, result.message
     return float(result.fun)
+
+
+def _loop_rank_sample(total: int, cap: int, rng) -> np.ndarray:
+    """Distinct-rank sampling as the library did it first, with np.union1d."""
+    if cap >= total:
+        return np.arange(total, dtype=np.int64)
+    if total <= max(4 * cap, 1_000_000):
+        return rng.permutation(total)[:cap].astype(np.int64)
+    chosen = np.array([], dtype=np.int64)
+    while chosen.size < cap:
+        draw = rng.integers(0, total, size=2 * (cap - chosen.size) + 16)
+        chosen = np.union1d(chosen, draw)
+    return chosen[rng.permutation(chosen.size)[:cap]]
+
+
+def _unrank_within_class(ranks, members):
+    """Map pair ranks to (i, j) index pairs within one class, lexicographic order."""
+    n = members.size
+    row_sizes = np.arange(n - 1, 0, -1)
+    starts = np.concatenate([[0], np.cumsum(row_sizes)])
+    a = np.searchsorted(starts, ranks, side="right") - 1
+    b = a + 1 + (ranks - starts[a])
+    return members[a], members[b]
+
+
+def _loop_positive_pairs(members_by_class, ranks):
+    totals = np.array([m.size * (m.size - 1) // 2 for m in members_by_class])
+    block_starts = np.concatenate([[0], np.cumsum(totals)])
+    block = np.searchsorted(block_starts, ranks, side="right") - 1
+    first = np.empty(ranks.size, dtype=np.int64)
+    second = np.empty(ranks.size, dtype=np.int64)
+    for c, members in enumerate(members_by_class):
+        in_block = block == c
+        if not np.any(in_block):
+            continue
+        local = ranks[in_block] - block_starts[c]
+        first[in_block], second[in_block] = _unrank_within_class(local, members)
+    return first, second
+
+
+def _loop_negative_pairs(members_by_class, ranks):
+    num_classes = len(members_by_class)
+    blocks = [
+        (c1, c2)
+        for c1 in range(num_classes)
+        for c2 in range(c1 + 1, num_classes)
+    ]
+    totals = np.array(
+        [members_by_class[c1].size * members_by_class[c2].size for c1, c2 in blocks]
+    )
+    block_starts = np.concatenate([[0], np.cumsum(totals)])
+    which = np.searchsorted(block_starts, ranks, side="right") - 1
+    first = np.empty(ranks.size, dtype=np.int64)
+    second = np.empty(ranks.size, dtype=np.int64)
+    for b, (c1, c2) in enumerate(blocks):
+        in_block = which == b
+        if not np.any(in_block):
+            continue
+        local = ranks[in_block] - block_starts[b]
+        a_local, b_local = np.divmod(local, members_by_class[c2].size)
+        first[in_block] = members_by_class[c1][a_local]
+        second[in_block] = members_by_class[c2][b_local]
+    return first, second
+
+
+def loop_pair_angles(embeddings, labels, max_pairs_per_kind, seed=0):
+    """Pair angles with per-class and per-class-pair Python loops.
+
+    The reference for haseparator.metrics.pair_angles, which must give the
+    same arrays bit for bit: ranks are sampled from the same rng stream and
+    unranked class by class, then class pair by class pair. Rows of squared
+    norm beyond the float range are not handled.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    norms = np.sqrt(np.sum(embeddings * embeddings, axis=1))
+    keep = norms > EPSILON
+    unit = embeddings[keep] / norms[keep][:, None]
+    kept_labels = labels[keep]
+    if unit.shape[0] < 2:
+        raise ConfigError("need at least 2 nonzero embeddings")
+
+    classes = np.unique(kept_labels)
+    members_by_class = [np.flatnonzero(kept_labels == c) for c in classes]
+    pos_total = sum(m.size * (m.size - 1) // 2 for m in members_by_class)
+    total_pairs = unit.shape[0] * (unit.shape[0] - 1) // 2
+    neg_total = total_pairs - pos_total
+    if pos_total == 0:
+        raise ConfigError("no positive pairs: every class has fewer than 2 members")
+    if neg_total == 0:
+        raise ConfigError("no negative pairs: need at least 2 distinct classes")
+
+    rng = np.random.default_rng(seed)
+    pos_ranks = _loop_rank_sample(pos_total, max_pairs_per_kind, rng)
+    neg_ranks = _loop_rank_sample(neg_total, max_pairs_per_kind, rng)
+    pos_i, pos_j = _loop_positive_pairs(members_by_class, pos_ranks)
+    neg_i, neg_j = _loop_negative_pairs(members_by_class, neg_ranks)
+
+    def _angles(i, j):
+        cos = np.einsum("ij,ij->i", unit[i], unit[j])
+        return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+
+    return _angles(pos_i, pos_j), _angles(neg_i, neg_j)

@@ -1,13 +1,14 @@
 import json
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haseparator.errors import ConfigError
+from haseparator.errors import ConfigError, LabelError
 from haseparator.metrics import (
     AngleHistograms,
     DiscriminationScores,
@@ -19,7 +20,7 @@ from haseparator.metrics import (
     write_histogram_csv,
     write_scores_json,
 )
-from helpers import transport_cost
+from helpers import loop_pair_angles, transport_cost
 
 counts_strategy = st.lists(st.integers(0, 50), min_size=2, max_size=16)
 
@@ -123,6 +124,18 @@ class TestPairAngles:
         np.testing.assert_allclose(np.sort(pos_full), np.sort(brute_pos), atol=1e-9)
         np.testing.assert_allclose(np.sort(neg_full), np.sort(brute_neg), atol=1e-9)
 
+    def test_rows_whose_squared_norm_overflows_keep_their_direction(self):
+        e = np.array([[1e200, 0.0], [1e200, 1e200], [0.0, 1.0], [-1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos, neg = pair_angles(e, [0, 0, 1, 1])
+        np.testing.assert_allclose(pos, [45.0, 45.0], atol=1e-9)
+        np.testing.assert_allclose(neg, [90.0, 135.0, 45.0, 90.0], atol=1e-9)
+
+    def test_empty_labels_rejected_as_label_error(self):
+        with pytest.raises(LabelError, match="non-empty"):
+            pair_angles(np.ones((3, 2)), [])
+
     def test_single_class_has_no_negatives(self):
         with pytest.raises(ConfigError):
             pair_angles(np.eye(3), [0, 0, 0])
@@ -130,6 +143,42 @@ class TestPairAngles:
     def test_singleton_classes_have_no_positives(self):
         with pytest.raises(ConfigError):
             pair_angles(np.eye(3), [0, 1, 2])
+
+
+class TestPairAnglesMatchLoopOracle:
+    """Vectorized unranking against the per-class loops, bit for bit."""
+
+    @given(
+        counts=st.lists(st.integers(0, 7), min_size=2, max_size=9),
+        zero_rows=st.integers(0, 3),
+        cap=st.integers(1, 60),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The iid-draw branch of the rank sampler needs more than 1e6 pairs.
+    @example(counts=[1500, 1500], zero_rows=2, cap=1000, data_seed=0, seed=0)
+    @example(counts=[0, 2, 0, 1, 3], zero_rows=0, cap=1, data_seed=1, seed=1)
+    @settings(max_examples=300, deadline=None)
+    def test_same_angles_as_loop_oracle(self, counts, zero_rows, cap, data_seed, seed):
+        # Class ids with a count of 0 are absent, a count of 1 is a singleton.
+        rng = np.random.default_rng(data_seed)
+        labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        e = rng.normal(size=(labels.size, 3))
+        e[rng.permutation(labels.size)[:zero_rows]] = 0.0
+        if labels.size == 0:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                expected = loop_pair_angles(e, labels, cap, seed)
+            except ConfigError as err:
+                with pytest.raises(ConfigError, match=str(err)):
+                    pair_angles(e, labels, max_pairs_per_kind=cap, seed=seed)
+                return
+            got = pair_angles(e, labels, max_pairs_per_kind=cap, seed=seed)
+        for actual, reference in zip(got, expected):
+            assert actual.dtype == reference.dtype
+            assert actual.tobytes() == reference.tobytes()
 
 
 class TestBuildHistograms:
