@@ -92,7 +92,8 @@ def pair_angles(
     otherwise a seeded uniform sample without replacement of exactly that
     many pairs is taken. All-zero embeddings have no direction and are
     excluded with a warning; non-finite embeddings (a diverged model) raise
-    ConfigError.
+    ConfigError. Rows whose squared norm overflows float64 are rescaled
+    before they are normalized.
     """
     embeddings = as_matrix(embeddings)
     labels = np.asarray(labels)
