@@ -12,6 +12,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DataFormatError,
+    DivergenceError,
     LabelError,
     NonNumericCellError,
     RaggedRowError,
@@ -73,6 +74,7 @@ __all__ = [
     "Dataset",
     "DatasetConfig",
     "DiscriminationScores",
+    "DivergenceError",
     "ExperimentConfig",
     "ExperimentResult",
     "LabelError",

@@ -113,7 +113,7 @@ def _options_for(command: str) -> dict:
     elif command == "sweep":
         table.update(_MODEL_OPTIONS, **_TRAIN_OPTIONS, **_SWEEP_GRID_OPTIONS)
     elif command == "eval":
-        table.update({"checkpoint": (str, None), "sigma": (float, 3.0)})
+        table["checkpoint"] = (str, None)
     return table
 
 
@@ -280,7 +280,6 @@ def cmd_eval(args) -> int:
         hist, scores, embeddings = evaluate_model(
             model,
             dataset,
-            opts.get("sigma"),
             bins=opts.get("bins"),
             max_pairs=opts.get("max-pairs"),
             seed=seeds[f"eval_{split}"],
@@ -325,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser(
         "eval",
-        help="recompute metrics for a checkpoint; pass the same --dataset/--seed/"
-        "--sigma as training to reproduce its evaluation exactly",
+        help="recompute metrics for a checkpoint; pass the same --dataset/--seed "
+        "as training to reproduce its evaluation exactly",
     )
     _add_option_flags(eval_p, _options_for("eval"))
     eval_p.set_defaults(func=cmd_eval)

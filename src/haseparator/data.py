@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonNumericCellError, RaggedRowError
-from .tensor import as_labels, as_matrix
+from .tensor import as_labels, as_matrix, normalize
 
 VARIANCE_FLOOR = 1e-12
 
@@ -82,8 +82,7 @@ def gaussian_blobs(
         centers = center_radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
         directions = rng.normal(size=(num_classes, dim))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        centers = center_radius * directions
+        centers = center_radius * normalize(directions, 1)[0]
     features = np.repeat(centers, per_class, axis=0)
     features = features + stddev * rng.normal(size=features.shape)
     labels = np.repeat(np.arange(num_classes), per_class)

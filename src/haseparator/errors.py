@@ -13,6 +13,10 @@ class ConfigError(ValueError):
     """A configuration value violates its documented constraints."""
 
 
+class DivergenceError(ConfigError):
+    """Training reached a non-finite loss; the message names the step."""
+
+
 class DataFormatError(ValueError):
     """A delimited data file cannot be parsed."""
 

@@ -1,13 +1,13 @@
 """Loss heads on the unit hypersphere.
 
-Three losses share the same normalized-cosine classification head: plain
-softmax cross-entropy, an additive-angular-margin variant (arcface), and the
-hyperplane separator loss (haseparator). The separator loss augments
-cross-entropy with a hinge cost on the projections of each embedding onto
-the unit normals of its target class's separation hyperplanes; the normal
-for class pair (target, other) is the normalized difference of the two unit
-weight columns, oriented target-minus-other so that well-separated
-embeddings have large positive projections.
+Three losses share one normalized-cosine classification head and one code
+path: plain softmax cross-entropy, an additive-angular-margin variant
+(arcface), and the hyperplane separator loss (haseparator). The separator
+loss augments cross-entropy with a hinge cost on the projections of each
+embedding onto the unit normals of its target class's separation
+hyperplanes; the normal for class pair (target, other) is the normalized
+difference of the two unit weight columns, oriented target-minus-other so
+that well-separated embeddings have large positive projections.
 
 All gradients are analytic (chain rule through the normalizations, the
 cosine and Gram-matrix closed form of the projections, and the
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
-from .errors import ConfigError
-from .tensor import EPSILON, as_labels, as_matrix
+from .errors import ConfigError, ShapeError
+from .tensor import EPSILON, as_labels, as_matrix, normalize, normalize_backward
 
 SOFTMAX = "softmax"
 HASEPARATOR = "haseparator"
@@ -92,51 +91,25 @@ class LossResult:
     grad_weights: np.ndarray
 
 
-def _normalize_rows(m):
-    """Row normalization returning (unit rows, row norms); zero rows stay zero."""
-    norms = np.sqrt(np.sum(m * m, axis=1))
-    safe = np.where(norms > EPSILON, norms, 1.0)
-    unit = m / safe[:, None]
-    unit[norms <= EPSILON, :] = 0.0
-    return unit, norms
-
-
-def _normalize_cols(m):
-    norms = np.sqrt(np.sum(m * m, axis=0))
-    safe = np.where(norms > EPSILON, norms, 1.0)
-    unit = m / safe[None, :]
-    unit[:, norms <= EPSILON] = 0.0
-    return unit, norms
-
-
-def _normalize_rows_backward(unit, norms, grad_unit):
-    """Pull a gradient back through row normalization.
-
-    d/dv (v/|v|) applied to an upstream gradient g is (g - u <u, g>) / |v|
-    with u = v/|v|. Rows treated as zero get a zero gradient.
-    """
-    inner = np.sum(unit * grad_unit, axis=1, keepdims=True)
-    safe = np.where(norms > EPSILON, norms, 1.0)
-    grad = (grad_unit - unit * inner) / safe[:, None]
-    grad[norms <= EPSILON, :] = 0.0
-    return grad
-
-
-def _normalize_cols_backward(unit, norms, grad_unit):
-    inner = np.sum(unit * grad_unit, axis=0, keepdims=True)
-    safe = np.where(norms > EPSILON, norms, 1.0)
-    grad = (grad_unit - unit * inner) / safe[None, :]
-    grad[:, norms <= EPSILON] = 0.0
-    return grad
-
-
 def scaled_cosine_logits(e, w, sigma: float) -> np.ndarray:
     """Logits sigma * <e_hat, w_hat>: rows of e and columns of w unit-normalized."""
     if not sigma > 0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
-    e_hat = tensor.l2_normalize_rows(e)
-    w_hat = tensor.l2_normalize_columns(w)
-    return sigma * tensor.matmul(e_hat, w_hat)
+    e = as_matrix(e)
+    w = as_matrix(w)
+    if e.shape[1] != w.shape[0]:
+        raise ShapeError(f"cannot multiply {e.shape} by {w.shape}")
+    return sigma * (normalize(e, 1)[0] @ normalize(w, 0)[0])
+
+
+def _cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
+    batch = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    loss = float(-np.mean(log_probs[np.arange(batch), labels]))
+    grad = np.exp(log_probs)
+    grad[np.arange(batch), labels] -= 1.0
+    return loss, grad / batch
 
 
 def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
@@ -151,13 +124,14 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
         raise ConfigError(
             f"got {labels.shape[0]} labels for {logits.shape[0]} logit rows"
         )
-    batch = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    loss = float(-np.mean(log_probs[np.arange(batch), labels]))
-    grad = np.exp(log_probs)
-    grad[np.arange(batch), labels] -= 1.0
-    return loss, grad / batch
+    return _cross_entropy(logits, labels)
+
+
+def _hinge(projections, margin, labels) -> tuple[np.ndarray, float]:
+    batch = projections.shape[0]
+    costs = np.maximum(margin - projections, 0.0)
+    costs[np.arange(batch), labels] = 0.0
+    return costs, float(costs.sum() / batch)
 
 
 def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
@@ -170,13 +144,11 @@ def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
     if not 0 < margin <= 1:
         raise ConfigError(f"margin must lie in (0, 1], got {margin}")
     labels = as_labels(labels, projections.shape[1])
-    batch = projections.shape[0]
-    costs = np.maximum(margin - projections, 0.0)
-    costs[np.arange(batch), labels] = 0.0
-    return costs, float(costs.sum() / batch)
+    return _hinge(projections, margin, labels)
 
 
 def _prepare(e, w, labels):
+    """The one validation boundary of a loss call; the kernels trust its output."""
     e = as_matrix(e)
     w = as_matrix(w)
     if e.shape[1] != w.shape[0]:
@@ -208,32 +180,25 @@ def _inverse_normal_lengths(w_hat) -> np.ndarray:
     return np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > EPSILON)
 
 
-def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
-    """Cross-entropy on scaled cosine logits plus the hyperplane hinge cost.
+def _separator(cosines, w_hat, labels, margin):
+    """The hyperplane hinge term, in closed form.
 
-    Computed in closed form. The normal of pair (t, j) is
-    (w_hat_t - w_hat_j) / d_tj, so the projection of sample i is
-    p_ij = (cos_it - cos_ij) / d_tj, and the loss and both gradients follow
-    from the B x C cosine matrix and the C x C Gram matrix
-    G = w_hat^T w_hat (d_tj^2 = G_tt + G_jj - 2 G_tj), without forming the
-    B x N x C normals. Degenerate normals (the target column, and pairs of
-    zero or collinear class columns) give a projection of exactly 0, a
+    The normal of pair (t, j) is (w_hat_t - w_hat_j) / d_tj, so the
+    projection of sample i is p_ij = (cos_it - cos_ij) / d_tj, and the loss
+    and its gradients follow from the B x C cosine matrix and the C x C Gram
+    matrix G = w_hat^T w_hat (d_tj^2 = G_tt + G_jj - 2 G_tj), without forming
+    the B x N x C normals. Degenerate normals (the target column, and pairs
+    of zero or collinear class columns) give a projection of exactly 0, a
     constant hinge cost and no gradient.
+
+    Returns (projections, loss, grad_cos, S): grad_cos is the B x C gradient
+    of the loss with respect to the cosines, and S_tj = dL/dG_tj summed over
+    the samples of target class t.
     """
-    e, w, labels = _prepare(e, w, labels)
-    if w.shape[1] < 2:
+    batch, num_classes = cosines.shape
+    if num_classes < 2:
         raise ConfigError("separator loss needs at least 2 classes")
-    sigma, margin = config.sigma, config.margin
-    batch, num_classes = e.shape[0], w.shape[1]
     rows = np.arange(batch)
-
-    e_hat, e_norms = _normalize_rows(e)
-    w_hat, w_norms = _normalize_cols(w)
-
-    cosines = e_hat @ w_hat
-    logits = sigma * cosines
-    ce_loss, grad_logits = softmax_cross_entropy(logits, labels)
-
     inv_lengths = _inverse_normal_lengths(w_hat)[labels]  # B x C
     # Projections onto unit normals lie in [-1, 1]. The clip only removes
     # the rounding of cos_it - cos_ij, which 1 / d amplifies for nearly
@@ -241,7 +206,7 @@ def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
     projections = np.clip(
         (cosines[rows, labels][:, None] - cosines) * inv_lengths, -1.0, 1.0
     )
-    _, separator_loss = hinge_cost(projections, margin, labels)
+    _, loss = _hinge(projections, margin, labels)
 
     # Hinge subgradient -1/B on active non-target entries, 0 elsewhere
     # (including exactly at the kink p == margin), times dp/dcos = 1/d.
@@ -250,58 +215,40 @@ def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
     slope = np.where(active, -1.0 / batch, 0.0) * inv_lengths
 
     # p_ij rises with cos_it and falls with cos_ij.
-    grad_cos = sigma * grad_logits - slope
+    grad_cos = -slope
     grad_cos[rows, labels] += slope.sum(axis=1)
 
-    # S_tj = dL/dG_tj summed over the samples of target class t; through
-    # d_tj, G_tt and G_jj each take -S_tj / 2. Pulled back through
-    # G = w_hat^T w_hat this adds w_hat (S + S^T - diag(colsum S + rowsum S)).
+    # Through d_tj, G_tt and G_jj each take -S_tj / 2.
     gram_grad = np.bincount(
         (labels[:, None] * num_classes + np.arange(num_classes)).ravel(),
         weights=(slope * projections * inv_lengths).ravel(),
         minlength=num_classes * num_classes,
     ).reshape(num_classes, num_classes)
-    grad_w_hat = (
-        e_hat.T @ grad_cos
-        + w_hat @ (gram_grad + gram_grad.T)
-        - w_hat * (gram_grad.sum(axis=0) + gram_grad.sum(axis=1))
-    )
-
-    grad_e = _normalize_rows_backward(e_hat, e_norms, grad_cos @ w_hat.T)
-    grad_w = _normalize_cols_backward(w_hat, w_norms, grad_w_hat)
-
-    return LossResult(
-        total_loss=ce_loss + separator_loss,
-        ce_loss=ce_loss,
-        separator_loss=separator_loss,
-        logits=logits,
-        projections=projections,
-        grad_embeddings=grad_e,
-        grad_weights=grad_w,
-    )
+    return projections, loss, grad_cos, gram_grad
 
 
-def _cosine_head_loss(e, w, labels, sigma, arc_margin):
-    """Shared softmax/arcface path; arc_margin == 0 is the plain softmax head."""
+def _cosine_head_loss(e, w, labels, sigma, arc_margin=0.0, margin=None):
+    """Cross-entropy on sigma * cos, the path all three losses share.
+
+    arc_margin > 0 replaces the target logits with arcface's; a margin adds
+    the separator's hinge. With neither it is the plain softmax head.
+    """
     e, w, labels = _prepare(e, w, labels)
-    batch = e.shape[0]
-    rows = np.arange(batch)
+    rows = np.arange(e.shape[0])
 
-    e_hat, e_norms = _normalize_rows(e)
-    w_hat, w_norms = _normalize_cols(w)
+    e_hat, e_norms = normalize(e, 1)
+    w_hat, w_norms = normalize(w, 0)
     cosines = e_hat @ w_hat
 
+    logits = sigma * cosines
     if arc_margin > 0:
+        # Arcface's target logit sigma * cos(theta + m); see arcface_loss.
         target_cos = cosines[rows, labels]
         clamped = np.clip(target_cos, -1.0 + _COS_CLAMP, 1.0 - _COS_CLAMP)
         theta = np.arccos(clamped)
         theta_kept = np.minimum(theta, math.pi - arc_margin)
-        logits = sigma * cosines
         logits[rows, labels] = sigma * np.cos(theta_kept + arc_margin)
-    else:
-        logits = sigma * cosines
-
-    ce_loss, grad_logits = softmax_cross_entropy(logits, labels)
+    ce_loss, grad_logits = _cross_entropy(logits, labels)
 
     grad_cos = sigma * grad_logits
     if arc_margin > 0:
@@ -314,24 +261,44 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin):
             0.0,
         )
         grad_cos[rows, labels] = grad_logits[rows, labels] * slope
+    total_loss, separator_loss, projections = ce_loss, 0.0, None
+    if margin is not None:
+        projections, separator_loss, sep_grad_cos, gram_grad = _separator(
+            cosines, w_hat, labels, margin
+        )
+        total_loss = ce_loss + separator_loss
+        grad_cos += sep_grad_cos
 
-    grad_e = _normalize_rows_backward(e_hat, e_norms, grad_cos @ w_hat.T)
-    grad_w = _normalize_cols_backward(w_hat, w_norms, e_hat.T @ grad_cos)
+    grad_w_hat = e_hat.T @ grad_cos
+    if margin is not None:
+        # Pulled back through G = w_hat^T w_hat, S adds
+        # w_hat (S + S^T - diag(colsum S + rowsum S)).
+        grad_w_hat += w_hat @ (gram_grad + gram_grad.T)
+        grad_w_hat -= w_hat * (gram_grad.sum(axis=0) + gram_grad.sum(axis=1))
 
     return LossResult(
-        total_loss=ce_loss,
+        total_loss=total_loss,
         ce_loss=ce_loss,
-        separator_loss=0.0,
+        separator_loss=separator_loss,
         logits=logits,
-        projections=None,
-        grad_embeddings=grad_e,
-        grad_weights=grad_w,
+        projections=projections,
+        grad_embeddings=normalize_backward(e_hat, e_norms, grad_cos @ w_hat.T, 1),
+        grad_weights=normalize_backward(w_hat, w_norms, grad_w_hat, 0),
     )
 
 
 def softmax_loss(e, w, labels, config: LossConfig) -> LossResult:
     """Plain softmax cross-entropy on scaled cosine logits."""
-    return _cosine_head_loss(e, w, labels, config.sigma, 0.0)
+    return _cosine_head_loss(e, w, labels, config.sigma)
+
+
+def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
+    """Cross-entropy on scaled cosine logits plus the hyperplane hinge cost.
+
+    The hinge is computed in closed form from the cosines and the class
+    Gram matrix; see _separator.
+    """
+    return _cosine_head_loss(e, w, labels, config.sigma, margin=config.margin)
 
 
 def arcface_loss(e, w, labels, config: LossConfig) -> LossResult:
@@ -341,11 +308,7 @@ def arcface_loss(e, w, labels, config: LossConfig) -> LossResult:
     capped at pi - arc_margin so the shifted angle stays within [0, pi].
     With arc_margin == 0 this follows exactly the softmax code path.
     """
-    if not 0 <= config.arc_margin < math.pi / 2:
-        raise ConfigError(
-            f"arc_margin must lie in [0, pi/2), got {config.arc_margin}"
-        )
-    return _cosine_head_loss(e, w, labels, config.sigma, config.arc_margin)
+    return _cosine_head_loss(e, w, labels, config.sigma, arc_margin=config.arc_margin)
 
 
 def compute_loss(e, w, labels, config: LossConfig) -> LossResult:

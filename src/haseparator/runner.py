@@ -23,14 +23,7 @@ import numpy as np
 
 from .data import Dataset, gaussian_blobs, load_delimited, split_dataset, two_rings
 from .errors import ConfigError
-from .losses import (
-    ARCFACE,
-    HASEPARATOR,
-    LOSS_KINDS,
-    SOFTMAX,
-    LossConfig,
-    scaled_cosine_logits,
-)
+from .losses import ARCFACE, HASEPARATOR, LOSS_KINDS
 from .metrics import (
     DEFAULT_BINS,
     DEFAULT_MAX_PAIRS,
@@ -45,6 +38,7 @@ from .metrics import (
     write_scores_json,
 )
 from .model import MlpModel, forward, init_model, save_checkpoint
+from .tensor import normalize
 from .trainer import TrainConfig, TrainReport, train, write_report_csv
 
 DATASET_KINDS = ("blobs", "rings")
@@ -102,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError(f"hidden dims must be >= 1, got {self.hidden_dims}")
+        if self.bins < 2:
+            raise ConfigError(f"bins must be >= 2, got {self.bins}")
+        if self.max_pairs < 1:
+            raise ConfigError(f"max_pairs must be >= 1, got {self.max_pairs}")
 
 
 @dataclass
@@ -142,16 +140,15 @@ def build_datasets(config: DatasetConfig, seed) -> tuple[Dataset, Dataset]:
 def evaluate_model(
     model: MlpModel,
     dataset: Dataset,
-    sigma: float,
     bins: int = DEFAULT_BINS,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     seed=0,
 ) -> tuple[AngleHistograms, DiscriminationScores, np.ndarray]:
-    """Embed a split and score it: accuracy from cosine logits, D_KL and
-    D_EM from the positive/negative pair-angle histograms."""
+    """Embed a split and score it: accuracy as the argmax of the cosines,
+    D_KL and D_EM from the positive/negative pair-angle histograms."""
     embeddings = forward(model, dataset.features).embeddings
-    logits = scaled_cosine_logits(embeddings, model.class_weights, sigma)
-    acc = accuracy(logits, dataset.labels)
+    cosines = normalize(embeddings, 1)[0] @ normalize(model.class_weights, 0)[0]
+    acc = accuracy(cosines, dataset.labels)
     pos, neg = pair_angles(embeddings, dataset.labels, max_pairs_per_kind=max_pairs, seed=seed)
     hist = build_histograms(pos, neg, num_bins=bins)
     scores = DiscriminationScores(d_kl=kl_divergence(hist), d_em=emd_1d(hist), accuracy=acc)
@@ -173,7 +170,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         hist, split_scores, emb = evaluate_model(
             report.final_model,
             dataset,
-            config.train.loss.sigma,
             bins=config.bins,
             max_pairs=config.max_pairs,
             seed=seeds[f"eval_{split}"],

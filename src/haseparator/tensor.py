@@ -1,8 +1,8 @@
-"""Validated float64 matrix operations shared by the library.
+"""Float64 matrix validation and the one L2 normalization of the library.
 
-Matrices are 2-d float64 numpy arrays (row-major). Every operation
-validates shapes explicitly, allocates a fresh output array, and is
-deterministic.
+Matrices are 2-d float64 numpy arrays (row-major). as_matrix and as_labels
+validate input at public entry points; normalize and its backward trust
+their input. Every operation allocates a fresh output and is deterministic.
 """
 
 from __future__ import annotations
@@ -47,38 +47,24 @@ def as_labels(labels, num_classes: int) -> np.ndarray:
     return arr
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+def normalize(m: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row (axis=1) or column (axis=0) of m to unit Euclidean norm.
 
-
-def l2_normalize_columns(m, epsilon: float = EPSILON) -> np.ndarray:
-    """Scale each column to unit Euclidean norm.
-
-    Columns with norm <= epsilon come back as all zeros instead of raising.
+    Returns (unit, norms), with norms keeping the reduced axis. Vectors with
+    norm <= EPSILON come back as zeros. m is not validated; callers pass a
+    checked float64 matrix.
     """
-    m = as_matrix(m)
-    _check_epsilon(epsilon)
-    norms = np.sqrt(np.sum(m * m, axis=0))
-    out = m / np.where(norms > epsilon, norms, 1.0)
-    out[:, norms <= epsilon] = 0.0
-    return out
+    norms = np.sqrt(np.sum(m * m, axis=axis, keepdims=True))
+    unit = m / np.where(norms > EPSILON, norms, 1.0)
+    return np.where(norms <= EPSILON, 0.0, unit), norms
 
 
-def l2_normalize_rows(m, epsilon: float = EPSILON) -> np.ndarray:
-    """Scale each row to unit Euclidean norm (zero rows stay zero)."""
-    m = as_matrix(m)
-    _check_epsilon(epsilon)
-    norms = np.sqrt(np.sum(m * m, axis=1))
-    out = m / np.where(norms > epsilon, norms, 1.0)[:, None]
-    out[norms <= epsilon, :] = 0.0
-    return out
+def normalize_backward(unit, norms, grad_unit, axis: int) -> np.ndarray:
+    """Pull a gradient back through normalize(m, axis).
 
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product with explicit shape validation."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+    d/dv (v/|v|) applied to an upstream gradient g is (g - u <u, g>) / |v|
+    with u = v/|v|. Vectors treated as zero get a zero gradient.
+    """
+    inner = np.sum(unit * grad_unit, axis=axis, keepdims=True)
+    grad = (grad_unit - unit * inner) / np.where(norms > EPSILON, norms, 1.0)
+    return np.where(norms <= EPSILON, 0.0, grad)

@@ -9,12 +9,13 @@ last partial batch is used. Runs with equal seeds are bitwise reproducible.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .losses import LossConfig, compute_loss
 from .metrics import accuracy
 from .model import MlpModel, backward, forward
@@ -104,7 +105,10 @@ def resolve_total_steps(config: TrainConfig, dataset_size: int) -> int:
 
 
 def train(model: MlpModel, dataset: Dataset, config: TrainConfig) -> TrainReport:
-    """Run SGD over seeded minibatches; the input model is not mutated."""
+    """Run SGD over seeded minibatches; the input model is not mutated.
+
+    Raises DivergenceError at the first step whose loss is not finite.
+    """
     if len(dataset) == 0:
         raise ConfigError("dataset is empty")
     total_steps = resolve_total_steps(config, len(dataset))
@@ -130,6 +134,11 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig) -> TrainReport
 
             trace = forward(model, batch_x)
             result = compute_loss(trace.embeddings, model.class_weights, batch_y, config.loss)
+            if not math.isfinite(result.total_loss):
+                raise DivergenceError(
+                    f"training diverged at step {step}: total loss {result.total_loss}, "
+                    f"cross-entropy {result.ce_loss}, separator {result.separator_loss}"
+                )
             grads = backward(model, trace, result.grad_embeddings)
 
             lr = lr_at(step, config)

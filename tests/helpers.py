@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from haseparator import losses
 from haseparator.errors import ConfigError, ShapeError
 from haseparator.losses import HASEPARATOR, ARCFACE, LossResult, compute_loss
-from haseparator.tensor import EPSILON, as_labels, as_matrix
+from haseparator.tensor import EPSILON, as_labels, as_matrix, normalize, normalize_backward
 
 FD_STEP = 1e-6
 
@@ -166,8 +166,8 @@ def dense_haseparator_loss(e, w, labels, config) -> LossResult:
     batch = e.shape[0]
     rows = np.arange(batch)
 
-    e_hat, e_norms = losses._normalize_rows(e)
-    w_hat, w_norms = losses._normalize_cols(w)
+    e_hat, e_norms = normalize(e, 1)
+    w_hat, w_norms = normalize(w, 0)
     logits = sigma * (e_hat @ w_hat)
     ce_loss, grad_logits = losses.softmax_cross_entropy(logits, labels)
 
@@ -201,8 +201,8 @@ def dense_haseparator_loss(e, w, labels, config) -> LossResult:
         separator_loss=separator_loss,
         logits=logits,
         projections=projections,
-        grad_embeddings=losses._normalize_rows_backward(e_hat, e_norms, grad_e_hat),
-        grad_weights=losses._normalize_cols_backward(w_hat, w_norms, grad_w_hat),
+        grad_embeddings=normalize_backward(e_hat, e_norms, grad_e_hat, 1),
+        grad_weights=normalize_backward(w_hat, w_norms, grad_w_hat, 0),
     )
 
 

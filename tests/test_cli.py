@@ -135,7 +135,7 @@ class TestEval:
         code, _, _ = run_cli(
             ["eval", "--checkpoint", str(trained / "checkpoint.txt"),
              "--dataset", "blobs", "--num-classes", "3", "--per-class", "20",
-             "--dim", "4", "--sigma", "2.5", "--seed", "3", "--out", str(out)],
+             "--dim", "4", "--seed", "3", "--out", str(out)],
             capsys,
         )
         assert code == 0

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from haseparator.errors import ConfigError, LabelError
+from haseparator.errors import ConfigError, LabelError, ShapeError
 from haseparator.losses import (
     ARCFACE,
     HASEPARATOR,
@@ -76,6 +76,10 @@ class TestScaledCosineLogits:
         rng = np.random.default_rng(0)
         logits = scaled_cosine_logits(rng.normal(size=(5, 7)), rng.normal(size=(7, 4)), 3.0)
         assert np.all(np.abs(logits) <= 3.0 + 1e-9)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            scaled_cosine_logits(np.ones((2, 3)), np.ones((2, 3)), 1.0)
 
 
 class TestSoftmaxCrossEntropy:

@@ -46,6 +46,13 @@ class TestDatasetConfig:
         DatasetConfig(kind="file:/tmp/x.csv")
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("field", [{"bins": 1}, {"max_pairs": 0}])
+    def test_evaluation_settings_rejected_before_training(self, field):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**field)
+
+
 class TestBuildDatasets:
     def test_blobs_deterministic_for_seed(self):
         a_train, _ = build_datasets(DatasetConfig(), seed=3)

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from haseparator.errors import LabelError, ShapeError
-from haseparator.tensor import (
-    as_labels,
-    as_matrix,
-    l2_normalize_columns,
-    l2_normalize_rows,
-    matmul,
-)
+from haseparator.tensor import as_labels, as_matrix, normalize
 
 # The rank-3 operations of the dense separator oracle live in the tests.
 from helpers import as_tensor3, batched_contract, broadcast_weights, gather_target_columns
@@ -56,67 +50,46 @@ class TestConversions:
 
 class TestNormalization:
     def test_columns_three_four_five(self):
-        out = l2_normalize_columns(np.array([[3.0], [4.0]]))
+        out = normalize(np.array([[3.0], [4.0]]), 0)[0]
         np.testing.assert_allclose(out[:, 0], [0.6, 0.8], rtol=0, atol=1e-15)
 
     def test_zero_column_convention(self):
-        out = l2_normalize_columns(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        out = normalize(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)[0]
         assert out[:, 0].tolist() == [0.0, 0.0]
         assert out[:, 1].tolist() == [1.0, 0.0]
 
     def test_axis_column_exact(self):
-        out = l2_normalize_columns(np.array([[5.0], [0.0], [0.0]]))
+        out = normalize(np.array([[5.0], [0.0], [0.0]]), 0)[0]
         assert out[:, 0].tolist() == [1.0, 0.0, 0.0]
 
     def test_rows_unit_diagonal(self):
-        out = l2_normalize_rows(np.array([[1.0, 1.0]]))
+        out = normalize(np.array([[1.0, 1.0]]), 1)[0]
         np.testing.assert_allclose(out[0], [0.70710678, 0.70710678], atol=1e-8)
 
     def test_zero_row_convention(self):
-        out = l2_normalize_rows(np.zeros((1, 3)))
+        out = normalize(np.zeros((1, 3)), 1)[0]
         assert out.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_row_sign_preserved(self):
-        out = l2_normalize_rows(np.array([[-2.0, 0.0]]))
+        out = normalize(np.array([[-2.0, 0.0]]), 1)[0]
         assert out[0].tolist() == [-1.0, 0.0]
 
     def test_input_not_modified(self):
         m = np.array([[3.0, 4.0]])
-        l2_normalize_rows(m)
+        normalize(m, 1)
         assert m.tolist() == [[3.0, 4.0]]
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            l2_normalize_rows(np.ones((1, 2)), epsilon=0.0)
 
     @given(finite_matrices)
     @settings(max_examples=80, deadline=None)
     def test_rows_unit_or_zero(self, m):
-        norms = np.linalg.norm(l2_normalize_rows(m), axis=1)
+        norms = np.linalg.norm(normalize(m, 1)[0], axis=1)
         assert np.all((np.abs(norms - 1.0) <= 1e-12) | (norms == 0.0))
 
     @given(finite_matrices)
     @settings(max_examples=80, deadline=None)
     def test_columns_unit_or_zero(self, m):
-        norms = np.linalg.norm(l2_normalize_columns(m), axis=0)
+        norms = np.linalg.norm(normalize(m, 0)[0], axis=0)
         assert np.all((np.abs(norms - 1.0) <= 1e-12) | (norms == 0.0))
-
-
-class TestMatmul:
-    def test_identity_bit_for_bit(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-        np.testing.assert_array_equal(matmul(a, np.eye(2)), a)
-
-    def test_selection(self):
-        assert matmul([[1.0, 0.0]], [[2.0], [5.0]]).tolist() == [[2.0]]
-
-    def test_sum(self):
-        assert matmul([[1.0, 1.0]], [[1.0], [1.0]]).tolist() == [[2.0]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestBatchedContract:

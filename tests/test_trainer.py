@@ -1,10 +1,13 @@
 import csv
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from haseparator.data import gaussian_blobs
-from haseparator.errors import ConfigError, ShapeError
+from haseparator.errors import ConfigError, DivergenceError, ShapeError
 from haseparator.losses import LossConfig, compute_loss, scaled_cosine_logits
 from haseparator.metrics import accuracy
 from haseparator.model import backward, forward, init_model
@@ -219,6 +222,18 @@ class TestTrain:
         first = np.mean([r.c_sep for r in report.records[:10]])
         last = np.mean([r.c_sep for r in report.records[-10:]])
         assert last < first
+
+    def test_divergence_reported_at_first_nonfinite_step(self):
+        data = blob_train_set()
+        model = init_model((data.dim, 8, 4), data.num_classes, seed=18)
+        cfg = softmax_config(steps=100, base_lr=1e6)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                train(model, data, cfg)
+            step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+            report = train(model, data, replace(cfg, steps=step))
+        assert step > 0
+        assert all(math.isfinite(r.c_all) for r in report.records)
 
 
 class TestReportCsv:
