@@ -1,9 +1,10 @@
-"""Command-line front end: train one model, sweep a grid, or re-evaluate.
+"""Command-line front end: train one model, sweep a grid, re-evaluate, or
+summarize sweep results.
 
-Every option can come from a flat key=value config file (--config) where a
-line's leading/trailing whitespace is ignored and # starts a comment;
-command-line flags override file values, and the effective settings are
-echoed into the output directory next to the results.
+Every option of train, sweep and eval can come from a flat key=value config
+file (--config) where a line's leading/trailing whitespace is ignored and #
+starts a comment; command-line flags override file values, and the effective
+settings are echoed into the output directory next to the results.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import math
 import os
 import sys
+
+import numpy as np
 
 from .errors import (
     CheckpointError,
@@ -31,6 +34,7 @@ from .runner import (
     default_seeds,
     derive_seeds,
     evaluate_model,
+    read_sweep_csv,
     run_experiment,
     run_sweep,
     write_config_echo,
@@ -294,6 +298,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_summarize(args) -> int:
+    groups: dict[tuple, list] = {}
+    for path in args.sweep_csv:
+        for r in read_sweep_csv(path):
+            groups.setdefault((r.loss_kind, r.sigma, r.margin), []).append(r)
+    print(f"{'loss':>12} {'sigma':>8} {'margin':>8} {'runs':>5} {'failed':>6} "
+          f"{'d_em':>8} {'d_kl':>8} {'accuracy':>8}")
+    for (loss, sigma, margin), rows in groups.items():
+        ok = [r for r in rows if not r.error]
+        means = (np.mean([getattr(r, name) for r in ok]) if ok else math.nan
+                 for name in ("d_em", "d_kl", "accuracy"))
+        print(f"{loss:>12} {sigma:>8g} {margin:>8g} {len(rows):>5} {len(rows) - len(ok):>6} "
+              + " ".join(f"{m:>8.4f}" for m in means))
+    return 0
+
+
 def _add_option_flags(parser, table, skip=()) -> None:
     for key, (convert, _) in table.items():
         if key in skip:
@@ -329,6 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_option_flags(eval_p, _options_for("eval"))
     eval_p.set_defaults(func=cmd_eval)
+
+    summarize_p = sub.add_parser(
+        "summarize",
+        help="print one row per (loss, sigma, margin) of sweep.csv files: runs, "
+        "failed runs, and mean test d_em, d_kl and accuracy over the runs that finished",
+    )
+    summarize_p.add_argument("sweep_csv", nargs="+", metavar="SWEEP_CSV")
+    summarize_p.set_defaults(func=cmd_summarize)
 
     for p in (train_p, sweep_p, eval_p):
         p.add_argument("--config", default=None, metavar="FILE",

@@ -48,9 +48,10 @@ class LossConfig:
     """Hyperparameters of a loss head.
 
     sigma scales the cosine logits (the hypersphere radius). margin is the
-    hinge threshold on hyperplane projections, meaningful for haseparator
-    and constrained to (0, 1]. arc_margin is the additive angular margin in
-    radians, used only by arcface.
+    hinge threshold on hyperplane projections, used only by haseparator and
+    constrained to (0, 1]. arc_margin is the additive angular margin in
+    radians, used only by arcface and constrained to [0, pi/2). Both ranges
+    are checked for every loss kind, because the loss functions trust them.
     """
 
     loss_kind: str = HASEPARATOR
@@ -65,9 +66,9 @@ class LossConfig:
             )
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.loss_kind == HASEPARATOR and not 0 < self.margin <= 1:
+        if not 0 < self.margin <= 1:
             raise ConfigError(f"margin must lie in (0, 1], got {self.margin}")
-        if self.loss_kind == ARCFACE and not 0 <= self.arc_margin < math.pi / 2:
+        if not 0 <= self.arc_margin < math.pi / 2:
             raise ConfigError(
                 f"arc_margin must lie in [0, pi/2), got {self.arc_margin}"
             )
@@ -144,6 +145,10 @@ def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
     if not 0 < margin <= 1:
         raise ConfigError(f"margin must lie in (0, 1], got {margin}")
     labels = as_labels(labels, projections.shape[1])
+    if labels.shape[0] != projections.shape[0]:
+        raise ConfigError(
+            f"got {labels.shape[0]} labels for {projections.shape[0]} projection rows"
+        )
     return _hinge(projections, margin, labels)
 
 

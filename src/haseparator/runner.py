@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, gaussian_blobs, load_delimited, split_dataset, two_rings
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .losses import ARCFACE, HASEPARATOR, LOSS_KINDS
 from .metrics import (
     DEFAULT_BINS,
@@ -358,13 +358,18 @@ def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
         return list(pool.map(_run_cell, cells))
 
 
+# sweep.csv column -> parser; SweepRecord has the same fields, loss as loss_kind
+_SWEEP_COLUMNS = {
+    "loss": str, "sigma": float, "margin": float, "seed": int,
+    "accuracy": float, "d_kl": float, "d_em": float, "final_c_t": float,
+    "wall_time_s": float, "error": str,
+}
+
+
 def write_sweep_csv(records, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["loss", "sigma", "margin", "seed",
-             "accuracy", "d_kl", "d_em", "final_c_t", "wall_time_s", "error"]
-        )
+        writer.writerow(_SWEEP_COLUMNS)
         for r in records:
             writer.writerow(
                 [r.loss_kind, format(r.sigma, ".17g"), format(r.margin, ".17g"), r.seed,
@@ -374,21 +379,25 @@ def write_sweep_csv(records, path) -> None:
 
 
 def read_sweep_csv(path) -> list[SweepRecord]:
+    """Rows of a write_sweep_csv file; a missing column, a short or long row,
+    or an unparsable cell raises DataFormatError naming the path and line."""
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                SweepRecord(
-                    loss_kind=row["loss"],
-                    sigma=float(row["sigma"]),
-                    margin=float(row["margin"]),
-                    seed=int(row["seed"]),
-                    accuracy=float(row["accuracy"]),
-                    d_kl=float(row["d_kl"]),
-                    d_em=float(row["d_em"]),
-                    final_c_t=float(row["final_c_t"]),
-                    wall_time_s=float(row["wall_time_s"]),
-                    error=row["error"],
-                )
-            )
+        reader = csv.DictReader(fh)
+        missing = [c for c in _SWEEP_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataFormatError(f"{path}:1: missing sweep columns {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in row or None in row.values():
+                raise DataFormatError(f"{where}: expected {len(reader.fieldnames)} fields")
+            values = {}
+            for column, parse in _SWEEP_COLUMNS.items():
+                try:
+                    values[column] = parse(row[column])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{where}: column {column!r} cannot parse {row[column]!r}"
+                    ) from None
+            records.append(SweepRecord(loss_kind=values.pop("loss"), **values))
     return records

@@ -1,8 +1,13 @@
 import csv
+import math
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from haseparator.cli import main, parse_config_file
+from haseparator.cli import build_parser, main, parse_config_file
 from haseparator.runner import read_sweep_csv
 
 TINY = [
@@ -63,8 +68,6 @@ class TestTrain:
         assert "steps" in stderr and "epochs" in stderr
 
     def test_file_dataset_kind(self, tmp_path, capsys):
-        import numpy as np
-
         from haseparator.data import Dataset, save_delimited
 
         rng = np.random.default_rng(0)
@@ -219,3 +222,103 @@ class TestSweep:
         )
         assert code == 0
         assert "1 runs failed" in stderr
+
+
+SWEEP_HEADER = "loss,sigma,margin,seed,accuracy,d_kl,d_em,final_c_t,wall_time_s,error\n"
+SWEEP_ROW = "softmax,3,0.5,0,0.75,1.5,40.25,0.1,0.02,\n"
+
+
+class TestSummarize:
+    # haseparator at margin 1.5 fails its LossConfig check, so that group is
+    # all errors; softmax first, so first-seen order is not sorted order
+    SWEEP = ["sweep", *TINY, "--loss", "softmax,haseparator", "--margin", "0.5,1.5",
+             "--num-seeds", "2", "--jobs", "1"]
+
+    @pytest.fixture(scope="class")
+    def sweeps(self, tmp_path_factory):
+        paths = []
+        for name in ("a", "b"):
+            out = tmp_path_factory.mktemp(name)
+            assert main([*self.SWEEP, "--out", str(out)]) == 0
+            paths.append(out / "sweep.csv")
+        return paths
+
+    def test_one_row_per_group_with_means_of_finished_runs(self, sweeps, tmp_path, capsys):
+        # a failed row with finite scores, so averaging it in would show
+        injected = tmp_path / "injected.csv"
+        injected.write_text(SWEEP_HEADER + "haseparator,3,0.5,9,0.5,1,99,0.1,0.01,injected\n")
+        paths = [*sweeps, injected]
+        code, stdout, _ = run_cli(["summarize", *map(str, paths)], capsys)
+        assert code == 0
+        header, *lines = stdout.splitlines()
+        assert header.split() == ["loss", "sigma", "margin", "runs", "failed",
+                                  "d_em", "d_kl", "accuracy"]
+        groups = {}
+        for path in paths:
+            for r in read_sweep_csv(path):
+                groups.setdefault((r.loss_kind, r.sigma, r.margin), []).append(r)
+        assert len(lines) == len(groups) == 4
+        for line, ((loss, sigma, margin), rows) in zip(lines, groups.items()):
+            ok = [r for r in rows if not r.error]
+            means = [np.mean([getattr(r, name) for r in ok]) if ok else math.nan
+                     for name in ("d_em", "d_kl", "accuracy")]
+            assert line.split() == [loss, f"{sigma:g}", f"{margin:g}", str(len(rows)),
+                                    str(len(rows) - len(ok)), *(f"{m:.4f}" for m in means)]
+        assert [line.split()[3:5] for line in lines] == [
+            ["4", "0"], ["4", "0"], ["5", "1"], ["4", "4"]]
+        assert lines[3].split()[5:] == ["nan"] * 3
+
+    def test_output_ignores_wall_time(self, sweeps, capsys):
+        outputs = [run_cli(["summarize", str(path)], capsys)[1] for path in sweeps]
+        assert outputs[0] == outputs[1]
+
+    def test_missing_file_reported(self, tmp_path, capsys):
+        code, _, stderr = run_cli(["summarize", str(tmp_path / "absent.csv")], capsys)
+        assert code == 2
+        assert stderr.startswith("error:")
+
+    def test_missing_column_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text(SWEEP_HEADER.replace("d_kl,", "") + SWEEP_ROW.replace("1.5,", ""))
+        code, _, stderr = run_cli(["summarize", str(path)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {path}:1:") and "d_kl" in stderr
+
+    def test_unparsable_cell_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text(SWEEP_HEADER + SWEEP_ROW + SWEEP_ROW.replace(",3,", ",three,"))
+        code, _, stderr = run_cli(["summarize", str(path)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {path}:3:") and "'sigma'" in stderr
+
+    @pytest.mark.parametrize("row", [SWEEP_ROW[:-2] + "\n", SWEEP_ROW[:-1] + ",extra\n"],
+                             ids=["short", "long"])
+    def test_ragged_row_names_path_and_line(self, tmp_path, capsys, row):
+        path = tmp_path / "sweep.csv"
+        path.write_text(SWEEP_HEADER + row)
+        code, _, stderr = run_cli(["summarize", str(path)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {path}:2:")
+
+
+def readme_commands() -> list[str]:
+    """Every `haseparator ...` command in the README's sh blocks, with
+    backslash-continued lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("haseparator "):
+                commands.append(line.split("#", 1)[0].strip())
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {shlex.split(c)[1] for c in commands} >= {"train", "sweep", "eval", "summarize"}
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

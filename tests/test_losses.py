@@ -55,6 +55,13 @@ class TestLossConfig:
         with pytest.raises(ConfigError):
             LossConfig(loss_kind="hinge")
 
+    @pytest.mark.parametrize("field", [{"margin": 5.0}, {"arc_margin": 3.0}])
+    def test_both_margins_checked_for_every_kind(self, field):
+        # the loss functions trust both fields, so a kind that ignores one
+        # must still not carry it out of range
+        with pytest.raises(ConfigError):
+            LossConfig(loss_kind=SOFTMAX, **field)
+
 
 class TestScaledCosineLogits:
     def test_aligned_gives_sigma(self):
@@ -186,6 +193,10 @@ class TestHingeCost:
         p = np.array([[0.0, 0.1], [0.0, 0.3]])
         _, total = hinge_cost(p, 0.5, [0, 0])
         assert total == pytest.approx((0.4 + 0.2) / 2.0, abs=1e-12)
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ConfigError, match="2 labels for 3 projection rows"):
+            hinge_cost(np.zeros((3, 2)), 0.5, [0, 1])
 
     @given(
         st.floats(-2.0, 2.0),
