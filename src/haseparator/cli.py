@@ -1,15 +1,26 @@
 """Command-line front end: train one model, sweep a grid, re-evaluate, or
 summarize sweep results.
 
-Every option of train, sweep and eval can come from a flat key=value config
-file (--config) where a line's leading/trailing whitespace is ignored and #
-starts a comment; command-line flags override file values, and the effective
-settings are echoed into the output directory next to the results.
+The options of train, sweep and eval are derived from the config dataclasses:
+ExperimentConfig for train and eval (eval takes only its dataset, bins,
+max_pairs and seed) and SweepConfig for sweep. A field's flag is its leaf
+name with "_" as "-"; its parser comes from the field's annotation and its
+default from the dataclass. The exceptions are the tables below, the
+default jobs of sweep (the CPU count, in _root), and epochs, which clears
+the default steps (in _config).
+
+A --config file holds key=value lines; a line's leading/trailing whitespace
+is ignored and # starts a comment. A key is a flag name or the dotted field
+path that config.txt echoes, so `train --config <run>/config.txt` and `sweep
+--config <sweep>/config.txt` replay a run. train.loss.arc_margin is in
+radians, --arc-margin-deg in degrees. Flags override file values, and the
+effective settings are echoed into the output directory next to the results.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -23,11 +34,10 @@ from .errors import (
     LabelError,
     ShapeError,
 )
-from .losses import LOSS_KINDS, LossConfig
+from .losses import LOSS_KINDS
 from .metrics import write_histogram_csv, write_scores_json
 from .model import load_checkpoint
 from .runner import (
-    DatasetConfig,
     ExperimentConfig,
     SweepConfig,
     build_datasets,
@@ -41,7 +51,6 @@ from .runner import (
     write_embeddings_csv,
     write_sweep_csv,
 )
-from .trainer import TrainConfig
 
 _USER_ERRORS = (
     ConfigError,
@@ -49,82 +58,93 @@ _USER_ERRORS = (
     CheckpointError,
     ShapeError,
     LabelError,
-    FileNotFoundError,
+    OSError,
 )
 
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+_SCALARS = {"int": int, "float": float, "str": str}
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _degrees(text: str) -> float:
+    return math.radians(float(text))
 
 
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
-
-
-# key -> (converter, default); shared across the config file and the flags
-_DATASET_OPTIONS = {
-    "dataset": (str, "blobs"),
-    "num-classes": (int, 5),
-    "per-class": (int, 100),
-    "dim": (int, 2),
-    "center-radius": (float, 3.0),
-    "stddev": (float, 1.0),
-    "noise": (float, 0.1),
-    "train-fraction": (float, 0.8),
+# Flags not named after their field's leaf name.
+_FLAG_NAMES = {
+    "kind": "dataset", "base_lr": "lr", "loss_kind": "loss", "arc_margin": "arc-margin-deg",
+    "losses": "loss", "sigmas": "sigma", "margins": "margin",
 }
-_MODEL_OPTIONS = {
-    "hidden-dims": (_int_list, (32, 32)),
-    "embedding-dim": (int, 64),
+# --arc-margin-deg takes degrees; the field and its dotted key hold radians.
+_FLAG_PARSERS = {"arc_margin": _degrees}
+# ExperimentConfig fields that eval reads; the others only shape training.
+_EVAL_FIELDS = ("dataset", "bins", "max_pairs", "seed")
+# Sweep fields without a flag: the grid sets each cell's loss and seed, and
+# --seed/--num-seeds stand for seeds.
+_SWEEP_UNFLAGGED = ("experiment.train.loss.", "experiment.seed", "seeds")
+# Keys that are not config fields: the output and checkpoint paths, and on
+# sweep the first run seed and the seed count, which _config turns into seeds.
+_EXTRA_KEYS = {
+    "train": {"out": str},
+    "sweep": {"out": str, "seed": int, "num-seeds": int},
+    "eval": {"out": str, "checkpoint": str},
 }
-_EVAL_OPTIONS = {
-    "bins": (int, 180),
-    "max-pairs": (int, 200_000),
-}
-_TRAIN_OPTIONS = {
-    "steps": (int, None),
-    "epochs": (int, None),
-    "batch-size": (int, 64),
-    "lr": (float, 0.1),
-    "lr-drop-points": (_int_list, ()),
-    "lr-drop-factor": (float, 0.1),
-    "momentum": (float, 0.9),
-    "weight-decay": (float, 1e-4),
-}
-_SINGLE_LOSS_OPTIONS = {
-    "loss": (str, "haseparator"),
-    "sigma": (float, 3.0),
-    "margin": (float, 0.9),
-    "arc-margin-deg": (float, None),
-}
-_SWEEP_GRID_OPTIONS = {
-    "loss": (_str_list, LOSS_KINDS),
-    "sigma": (_float_list, (3.0,)),
-    "margin": (_float_list, (0.5,)),
-    "num-seeds": (int, 1),
-    "jobs": (int, None),
-}
-_COMMON_OPTIONS = {"seed": (int, 0), "out": (str, None)}
 
 
-def _options_for(command: str) -> dict:
-    table = dict(_DATASET_OPTIONS, **_EVAL_OPTIONS, **_COMMON_OPTIONS)
-    if command == "train":
-        table.update(_MODEL_OPTIONS, **_TRAIN_OPTIONS, **_SINGLE_LOSS_OPTIONS)
-    elif command == "sweep":
-        table.update(_MODEL_OPTIONS, **_TRAIN_OPTIONS, **_SWEEP_GRID_OPTIONS)
-    elif command == "eval":
-        table["checkpoint"] = (str, None)
-    return table
+def _parser(annotation: str):
+    """Text -> value for a field annotated as a scalar, an optional scalar
+    (text "None"), or a tuple of scalars (comma-separated)."""
+    if annotation.endswith(" | None"):
+        scalar = _parser(annotation[: -len(" | None")])
+        parse = lambda text: None if text == "None" else scalar(text)
+    elif annotation.startswith("tuple["):
+        item = _SCALARS[annotation[len("tuple["):].split(",")[0]]
+        parse = lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
+    else:
+        return _SCALARS[annotation]
+    parse.__name__ = annotation  # argparse reports "invalid <name> value"
+    return parse
+
+
+def _leaves(config, prefix=""):
+    """(dotted path, annotation) of every non-dataclass field, in config.txt order."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f.type
+
+
+def _root(command: str):
+    """The config a subcommand builds, carrying its defaults."""
+    return SweepConfig(jobs=os.cpu_count() or 1) if command == "sweep" else ExperimentConfig()
+
+
+def _keys(command: str) -> tuple[dict, list[str]]:
+    """Config-file key -> (dotted path, parser) for a subcommand, and the keys
+    that are also flags. A field's keys are its dotted path and its flag."""
+    keys = {key: (key, parse) for key, parse in _EXTRA_KEYS[command].items()}
+    flags = list(keys)
+    for path, annotation in _leaves(_root(command)):
+        if command == "eval" and path.split(".")[0] not in _EVAL_FIELDS:
+            continue
+        keys[path] = (path, _parser(annotation))
+        if command == "sweep" and path.startswith(_SWEEP_UNFLAGGED):
+            continue
+        leaf = path.rsplit(".", 1)[-1]
+        flag = _FLAG_NAMES.get(leaf, leaf.replace("_", "-"))
+        keys[flag] = (path, _FLAG_PARSERS.get(leaf, keys[path][1]))
+        flags.append(flag)
+    return keys, flags
 
 
 def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -135,97 +155,56 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-class Options:
-    """Effective settings: flag if given, else config-file value, else default."""
+def _build(config, values: dict, prefix=""):
+    """config with every field whose dotted path is in values replaced."""
+    changes = {}
+    for f in dataclasses.fields(config):
+        path = prefix + f.name
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = _build(value, values, path + ".")
+        elif path in values:
+            changes[f.name] = values[path]
+    return dataclasses.replace(config, **changes)
 
-    def __init__(self, args, table):
-        self.args = args
-        self.table = table
-        self.file_values = parse_config_file(args.config) if args.config else {}
-        unknown = sorted(set(self.file_values) - set(table))
+
+def _config(args, command: str):
+    """The subcommand's config (flag if given, else config-file value, else
+    default) and the values of every key that was set."""
+    keys, flags = _keys(command)
+    values = {}
+    if args.config:
+        file_values = parse_config_file(args.config)
+        unknown = sorted(set(file_values) - set(keys))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-    def get(self, key):
-        convert, default = self.table[key]
-        flag_value = getattr(self.args, key.replace("-", "_"), None)
-        if flag_value is not None:
-            return flag_value
-        if key in self.file_values:
+        for key, text in file_values.items():
+            path, parse = keys[key]
             try:
-                return convert(self.file_values[key])
+                values[path] = parse(text)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from None
-        return default
+    for flag in flags:
+        path = keys[flag][0]
+        if (value := getattr(args, path)) is not None:
+            values[path] = value
+    for path in list(values):
+        if path.endswith("train.epochs") and values[path] is not None:
+            values.setdefault(path[: -len("epochs")] + "steps", None)  # clear the default
+    if command == "sweep" and {"seed", "num-seeds"} & values.keys():
+        values["seeds"] = default_seeds(values.pop("seed", 0), values.pop("num-seeds", 1))
+    return _build(_root(command), values), values
 
 
-def _dataset_config(opts: Options) -> DatasetConfig:
-    return DatasetConfig(
-        kind=opts.get("dataset"),
-        num_classes=opts.get("num-classes"),
-        per_class=opts.get("per-class"),
-        dim=opts.get("dim"),
-        center_radius=opts.get("center-radius"),
-        stddev=opts.get("stddev"),
-        noise=opts.get("noise"),
-        train_fraction=opts.get("train-fraction"),
-    )
-
-
-def _train_config(opts: Options, loss: LossConfig) -> TrainConfig:
-    steps = opts.get("steps")
-    epochs = opts.get("epochs")
-    if steps is None and epochs is None:
-        steps = 200
-    return TrainConfig(
-        batch_size=opts.get("batch-size"),
-        steps=steps,
-        epochs=epochs,
-        base_lr=opts.get("lr"),
-        lr_drop_points=opts.get("lr-drop-points"),
-        lr_drop_factor=opts.get("lr-drop-factor"),
-        momentum=opts.get("momentum"),
-        weight_decay=opts.get("weight-decay"),
-        seed=opts.get("seed"),
-        loss=loss,
-    )
-
-
-def _single_loss_config(opts: Options) -> LossConfig:
-    kwargs = {
-        "loss_kind": opts.get("loss"),
-        "sigma": opts.get("sigma"),
-        "margin": opts.get("margin"),
-    }
-    arc_deg = opts.get("arc-margin-deg")
-    if arc_deg is not None:
-        kwargs["arc_margin"] = math.radians(arc_deg)
-    return LossConfig(**kwargs)
-
-
-def _experiment_config(opts: Options, loss: LossConfig) -> ExperimentConfig:
-    return ExperimentConfig(
-        dataset=_dataset_config(opts),
-        hidden_dims=opts.get("hidden-dims"),
-        embedding_dim=opts.get("embedding-dim"),
-        train=_train_config(opts, loss),
-        bins=opts.get("bins"),
-        max_pairs=opts.get("max-pairs"),
-        seed=opts.get("seed"),
-    )
-
-
-def _require_out(opts: Options) -> str:
-    out = opts.get("out")
-    if not out:
-        raise ConfigError("--out directory is required")
-    return out
+def _required(values: dict, key: str) -> str:
+    if not values.get(key):
+        raise ConfigError(f"--{key} is required")
+    return values[key]
 
 
 def cmd_train(args) -> int:
-    opts = Options(args, _options_for("train"))
-    config = _experiment_config(opts, _single_loss_config(opts))
-    out = _require_out(opts)
+    config, values = _config(args, "train")
+    out = _required(values, "out")
     result = run_experiment(config, out_dir=out)
     for split in ("train", "test"):
         s = result.scores[split]
@@ -237,18 +216,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opts = Options(args, _options_for("sweep"))
-    out = _require_out(opts)
-    template = _experiment_config(opts, LossConfig())
-    jobs = opts.get("jobs")
-    sweep = SweepConfig(
-        losses=opts.get("loss"),
-        sigmas=opts.get("sigma"),
-        margins=opts.get("margin"),
-        seeds=default_seeds(opts.get("seed"), opts.get("num-seeds")),
-        experiment=template,
-        jobs=jobs if jobs is not None else (os.cpu_count() or 1),
-    )
+    sweep, values = _config(args, "sweep")
+    out = _required(values, "out")
     records = run_sweep(sweep)
     os.makedirs(out, exist_ok=True)
     write_sweep_csv(records, os.path.join(out, "sweep.csv"))
@@ -261,15 +230,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = Options(args, _options_for("eval"))
-    checkpoint_path = opts.get("checkpoint")
-    if not checkpoint_path:
-        raise ConfigError("--checkpoint is required")
-    out = _require_out(opts)
+    config, values = _config(args, "eval")
+    checkpoint_path = _required(values, "checkpoint")
+    out = _required(values, "out")
     model = load_checkpoint(checkpoint_path)
 
-    seeds = derive_seeds(opts.get("seed"))
-    train_data, test_data = build_datasets(_dataset_config(opts), seeds["data"])
+    seeds = derive_seeds(config.seed)
+    train_data, test_data = build_datasets(config.dataset, seeds["data"])
     if train_data.dim != model.layer_dims[0]:
         raise ShapeError(
             f"checkpoint expects input dim {model.layer_dims[0]}, dataset has {train_data.dim}"
@@ -284,8 +251,8 @@ def cmd_eval(args) -> int:
         hist, scores, embeddings = evaluate_model(
             model,
             dataset,
-            bins=opts.get("bins"),
-            max_pairs=opts.get("max-pairs"),
+            bins=config.bins,
+            max_pairs=config.max_pairs,
             seed=seeds[f"eval_{split}"],
         )
         write_histogram_csv(hist, os.path.join(out, f"hist_{split}.csv"))
@@ -314,11 +281,14 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def _add_option_flags(parser, table, skip=()) -> None:
-    for key, (convert, _) in table.items():
-        if key in skip:
-            continue
-        parser.add_argument(f"--{key}", type=convert, default=None, metavar="V")
+def _add_config_flags(parser, command: str) -> None:
+    keys, flags = _keys(command)
+    for flag in flags:
+        path, parse = keys[flag]
+        shown = {"choices": LOSS_KINDS} if path.endswith("loss_kind") else {"metavar": "V"}
+        parser.add_argument(f"--{flag}", dest=path, type=parse, default=None, **shown)
+    parser.add_argument("--config", default=None, metavar="FILE",
+                        help="key=value file of flag names or config.txt keys; flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,27 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
         "angular-margin, or plain softmax losses on small datasets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    train_p = sub.add_parser("train", help="train one model and write all artifacts")
-    train_p.add_argument("--loss", choices=LOSS_KINDS, default=None)
-    _add_option_flags(train_p, _options_for("train"), skip=("loss",))
-    train_p.set_defaults(func=cmd_train)
-
-    sweep_p = sub.add_parser(
-        "sweep",
-        help="run a loss x sigma x margin x seed grid; --loss/--sigma/--margin "
-        "accept comma-separated lists, seeds are seed..seed+num-seeds-1",
+    commands = (
+        ("train", cmd_train, "train one model and write all artifacts"),
+        ("sweep", cmd_sweep, "run a loss x sigma x margin x seed grid; --loss/--sigma/--margin "
+         "accept comma-separated lists, seeds are seed..seed+num-seeds-1"),
+        ("eval", cmd_eval, "recompute metrics for a checkpoint; pass the same --dataset/--seed "
+         "as training to reproduce its evaluation exactly"),
     )
-    _add_option_flags(sweep_p, _options_for("sweep"))
-    sweep_p.set_defaults(func=cmd_sweep)
-
-    eval_p = sub.add_parser(
-        "eval",
-        help="recompute metrics for a checkpoint; pass the same --dataset/--seed "
-        "as training to reproduce its evaluation exactly",
-    )
-    _add_option_flags(eval_p, _options_for("eval"))
-    eval_p.set_defaults(func=cmd_eval)
+    for command, func, help_text in commands:
+        command_p = sub.add_parser(command, help=help_text)
+        _add_config_flags(command_p, command)
+        command_p.set_defaults(func=func)
 
     summarize_p = sub.add_parser(
         "summarize",
@@ -357,10 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summarize_p.add_argument("sweep_csv", nargs="+", metavar="SWEEP_CSV")
     summarize_p.set_defaults(func=cmd_summarize)
-
-    for p in (train_p, sweep_p, eval_p):
-        p.add_argument("--config", default=None, metavar="FILE",
-                       help="flat key=value file; flags override it")
     return parser
 
 

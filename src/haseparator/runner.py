@@ -79,8 +79,8 @@ class DatasetConfig:
 class ExperimentConfig:
     """One training run plus its evaluation.
 
-    seed is the master seed; the seed field on the nested TrainConfig is
-    replaced by a derived stream, so only this one matters.
+    seed is the master seed of every stage: data, init, shuffling and pair
+    sampling each draw from their own stream derived from it.
     """
 
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -161,7 +161,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     train_data, test_data = build_datasets(config.dataset, seeds["data"])
     layer_dims = (train_data.dim, *config.hidden_dims, config.embedding_dim)
     model = init_model(layer_dims, train_data.num_classes, seeds["init"])
-    report = train(model, train_data, replace(config.train, seed=seeds["train"]))
+    report = train(model, train_data, config.train, seeds["train"])
 
     hists: dict[str, AngleHistograms] = {}
     scores: dict[str, DiscriminationScores] = {}
@@ -201,19 +201,6 @@ def write_embeddings_csv(embeddings, labels, path) -> None:
         for row, label in zip(embeddings, labels):
             cells = [format(v, ".17g") for v in row] + [str(int(label))]
             fh.write(",".join(cells) + "\n")
-
-
-def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        n_dims = int(fh.readline().strip())
-        rows, labels = [], []
-        for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) != n_dims + 1:
-                raise ConfigError(f"expected {n_dims} values + label, got {len(cells)} cells")
-            rows.append([float(c) for c in cells[:-1]])
-            labels.append(int(cells[-1]))
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
 def _flatten_config(value, prefix="") -> list[tuple[str, str]]:
@@ -380,10 +367,15 @@ def write_sweep_csv(records, path) -> None:
 
 def read_sweep_csv(path) -> list[SweepRecord]:
     """Rows of a write_sweep_csv file; a missing column, a short or long row,
-    or an unparsable cell raises DataFormatError naming the path and line."""
+    or an unparsable cell raises DataFormatError naming the path and line,
+    and bytes that are not UTF-8 one naming the path."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        reader = csv.DictReader(lines)
         missing = [c for c in _SWEEP_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise DataFormatError(f"{path}:1: missing sweep columns {', '.join(missing)}")

@@ -1,9 +1,10 @@
 """SGD training loop with momentum, L2 weight decay, and step LR drops.
 
-Determinism contract: train() seeds one numpy Generator from config.seed
-and draws a full permutation of the training set from it at the start of
-every epoch; batches are consecutive slices of that permutation and the
-last partial batch is used. Runs with equal seeds are bitwise reproducible.
+Determinism contract: train() seeds one numpy Generator from its seed
+argument and draws a full permutation of the training set from it at the
+start of every epoch; batches are consecutive slices of that permutation and
+the last partial batch is used. Runs with equal seeds are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class TrainConfig:
     lr_drop_factor: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
@@ -104,8 +104,8 @@ def resolve_total_steps(config: TrainConfig, dataset_size: int) -> int:
     return config.epochs * batches_per_epoch
 
 
-def train(model: MlpModel, dataset: Dataset, config: TrainConfig) -> TrainReport:
-    """Run SGD over seeded minibatches; the input model is not mutated.
+def train(model: MlpModel, dataset: Dataset, config: TrainConfig, seed) -> TrainReport:
+    """Run SGD over minibatches shuffled from seed; the input model is not mutated.
 
     Raises DivergenceError at the first step whose loss is not finite.
     """
@@ -117,7 +117,7 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig) -> TrainReport
             f"lr_drop_points {config.lr_drop_points} exceed the run of {total_steps} steps"
         )
     model = model.copy()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     params = model.weights + model.biases + [model.class_weights]
     velocities = [np.zeros_like(p) for p in params]
     records: list[StepRecord] = []

@@ -327,3 +327,18 @@ def loop_pair_angles(embeddings, labels, max_pairs_per_kind, seed=0):
         return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
     return _angles(pos_i, pos_j), _angles(neg_i, neg_j)
+
+
+def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of runner.write_embeddings_csv: the width line, then one row
+    of values plus the integer label per sample."""
+    with open(path) as fh:
+        n_dims = int(fh.readline().strip())
+        rows, labels = [], []
+        for line in fh:
+            cells = line.strip().split(",")
+            if len(cells) != n_dims + 1:
+                raise ConfigError(f"expected {n_dims} values + label, got {len(cells)} cells")
+            rows.append([float(c) for c in cells[:-1]])
+            labels.append(int(cells[-1]))
+    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)

@@ -310,8 +310,8 @@ def test_training_contract(capsys):
     train_data, _ = gaussian_blobs(5, 40, 2, center_radius=4.0, stddev=0.35, seed=0)
     model = init_model((2, 16, 8), num_classes=5, seed=1)
     train_config = TrainConfig(steps=200, batch_size=64, base_lr=0.1,
-                               loss=LossConfig(loss_kind=SOFTMAX, sigma=3.0), seed=1)
-    trained = train(model, train_data, train_config).final_model
+                               loss=LossConfig(loss_kind=SOFTMAX, sigma=3.0))
+    trained = train(model, train_data, train_config, seed=1).final_model
     from haseparator.losses import scaled_cosine_logits
     from haseparator.metrics import accuracy
     from haseparator.model import forward

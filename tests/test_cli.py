@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import re
@@ -7,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haseparator.cli import build_parser, main, parse_config_file
-from haseparator.runner import read_sweep_csv
+from haseparator.cli import _config, build_parser, main, parse_config_file
+from haseparator.data import Dataset, save_delimited
+from haseparator.errors import ConfigError, DataFormatError
+from haseparator.runner import read_sweep_csv, write_config_echo
 
 TINY = [
     "--dataset", "blobs", "--num-classes", "3", "--per-class", "20", "--dim", "4",
@@ -33,6 +36,12 @@ class TestParseConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("steps=30\njusttext\n")
         with pytest.raises(Exception, match=":2:"):
+            parse_config_file(path)
+
+    def test_non_utf8_bytes_name_path_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"steps=30\nsigma=\xff\xfe2\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2:"):
             parse_config_file(path)
 
 
@@ -68,8 +77,6 @@ class TestTrain:
         assert "steps" in stderr and "epochs" in stderr
 
     def test_file_dataset_kind(self, tmp_path, capsys):
-        from haseparator.data import Dataset, save_delimited
-
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), 2, "all")
         csv_path = tmp_path / "points.csv"
@@ -112,6 +119,13 @@ class TestConfigFile:
         )
         assert code == 2
         assert "unknown config keys" in stderr and "stepz" in stderr
+
+    def test_directory_is_a_user_error(self, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            ["train", "--config", str(tmp_path), "--out", str(tmp_path / "x")], capsys
+        )
+        assert code == 2
+        assert stderr.startswith("error:")
 
     def test_bad_value_names_the_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -224,6 +238,129 @@ class TestSweep:
         assert "1 runs failed" in stderr
 
 
+def write_points(path, rows=40, dim=3, classes=2) -> None:
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(rows, dim)), rng.integers(0, classes, size=rows),
+                   classes, "all")
+    save_delimited(data, path)
+
+
+def echo_lines(path) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in Path(path).read_text().splitlines())
+
+
+class TestReplay:
+    """A run's config.txt is a --config file that reproduces the run."""
+
+    def test_train_replays_every_artifact(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        write_points(points)
+        run, replay = tmp_path / "run", tmp_path / "replay"
+        code, _, _ = run_cli(
+            ["train", "--dataset", f"file:{points}", "--hidden-dims", "8,6",
+             "--embedding-dim", "4", "--batch-size", "16", "--epochs", "3",
+             "--lr-drop-points", "2,4", "--loss", "arcface", "--arc-margin-deg", "20",
+             "--seed", "3", "--out", str(run)],
+            capsys,
+        )
+        assert code == 0
+        echo = echo_lines(run / "config.txt")
+        assert echo["train.epochs"] == "3" and echo["train.steps"] == "None"
+        assert echo["train.lr_drop_points"] == "2,4"
+        assert float(echo["train.loss.arc_margin"]) == math.radians(20)
+        assert "train.seed" not in echo
+        code, _, _ = run_cli(
+            ["train", "--config", str(run / "config.txt"), "--out", str(replay)], capsys
+        )
+        assert code == 0
+        names = sorted(p.name for p in run.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        for name in names:
+            assert (replay / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_sweep_replays_its_rows(self, tmp_path, capsys):
+        sweep, replay = tmp_path / "sweep", tmp_path / "replay"
+        code, _, _ = run_cli(
+            ["sweep", *TINY, "--loss", "arcface,haseparator", "--sigma", "2,4",
+             "--margin", "0.3", "--seed", "7", "--num-seeds", "2", "--jobs", "1",
+             "--out", str(sweep)],
+            capsys,
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            ["sweep", "--config", str(sweep / "config.txt"), "--out", str(replay)], capsys
+        )
+        assert code == 0
+        assert (replay / "config.txt").read_bytes() == (sweep / "config.txt").read_bytes()
+        first, second = read_sweep_csv(sweep / "sweep.csv"), read_sweep_csv(replay / "sweep.csv")
+        assert len(first) == 8 and {r.seed for r in first} == {7, 8}
+        for a, b in zip(first, second, strict=True):
+            a.wall_time_s = b.wall_time_s = 0.0
+            assert a == b
+
+    def test_flag_keys_and_echo_keys_build_equal_configs(self, tmp_path):
+        flag_file = tmp_path / "flags.cfg"
+        flag_file.write_text(
+            "dataset=rings\nper-class=30\nnoise=0.2\nhidden-dims=8\nembedding-dim=6\n"
+            "epochs=2\nbatch-size=8\nlr=0.05\nlr-drop-points=1\nmomentum=0.5\n"
+            "loss=arcface\nsigma=4\narc-margin-deg=30\nbins=90\nmax-pairs=500\nseed=4\n"
+        )
+        parser = build_parser()
+        from_flags, _ = _config(parser.parse_args(["train", "--config", str(flag_file)]), "train")
+        echo = tmp_path / "config.txt"
+        write_config_echo(from_flags, echo)
+        from_echo, _ = _config(parser.parse_args(["train", "--config", str(echo)]), "train")
+        assert from_echo == from_flags
+        assert from_flags.train.steps is None and from_flags.train.epochs == 2
+        assert from_flags.train.loss.arc_margin == math.radians(30)
+        assert from_flags.dataset.kind == "rings" and from_flags.seed == 4
+
+    def test_flag_overrides_echo_key(self, tmp_path):
+        echo = tmp_path / "config.txt"
+        write_config_echo(_config(build_parser().parse_args(["train"]), "train")[0], echo)
+        args = build_parser().parse_args(
+            ["train", "--config", str(echo), "--sigma", "7", "--arc-margin-deg", "10"]
+        )
+        config, _ = _config(args, "train")
+        assert config.train.loss.sigma == 7.0
+        assert config.train.loss.arc_margin == math.radians(10)
+
+
+# The flags of each subcommand before they were derived from the config
+# dataclasses; deriving them must neither add nor drop one.
+SUBCOMMAND_FLAGS = {
+    "train": {
+        "--arc-margin-deg", "--batch-size", "--bins", "--center-radius", "--config",
+        "--dataset", "--dim", "--embedding-dim", "--epochs", "--hidden-dims", "--loss",
+        "--lr", "--lr-drop-factor", "--lr-drop-points", "--margin", "--max-pairs",
+        "--momentum", "--noise", "--num-classes", "--out", "--per-class", "--seed",
+        "--sigma", "--stddev", "--steps", "--train-fraction", "--weight-decay",
+    },
+    "sweep": {
+        "--batch-size", "--bins", "--center-radius", "--config", "--dataset", "--dim",
+        "--embedding-dim", "--epochs", "--hidden-dims", "--jobs", "--loss", "--lr",
+        "--lr-drop-factor", "--lr-drop-points", "--margin", "--max-pairs", "--momentum",
+        "--noise", "--num-classes", "--num-seeds", "--out", "--per-class", "--seed",
+        "--sigma", "--stddev", "--steps", "--train-fraction", "--weight-decay",
+    },
+    "eval": {
+        "--bins", "--center-radius", "--checkpoint", "--config", "--dataset", "--dim",
+        "--max-pairs", "--noise", "--num-classes", "--out", "--per-class", "--seed",
+        "--stddev", "--train-fraction",
+    },
+}
+
+
+def test_subcommand_flags_unchanged():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, expected in SUBCOMMAND_FLAGS.items():
+        actions = subparsers.choices[command]._actions
+        flags = {o for a in actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags == expected, command
+
+
 SWEEP_HEADER = "loss,sigma,margin,seed,accuracy,d_kl,d_em,final_c_t,wall_time_s,error\n"
 SWEEP_ROW = "softmax,3,0.5,0,0.75,1.5,40.25,0.1,0.02,\n"
 
@@ -290,6 +427,15 @@ class TestSummarize:
         code, _, stderr = run_cli(["summarize", str(path)], capsys)
         assert code == 2
         assert stderr.startswith(f"error: {path}:3:") and "'sigma'" in stderr
+
+    def test_non_utf8_file_names_path(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"\xff\xfe" + (SWEEP_HEADER + SWEEP_ROW).encode("utf-16-le"))
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            read_sweep_csv(path)
+        code, _, stderr = run_cli(["summarize", str(path)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {path}:")
 
     @pytest.mark.parametrize("row", [SWEEP_ROW[:-2] + "\n", SWEEP_ROW[:-1] + ",extra\n"],
                              ids=["short", "long"])

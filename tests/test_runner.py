@@ -14,7 +14,6 @@ from haseparator.runner import (
     SweepConfig,
     build_datasets,
     default_seeds,
-    read_embeddings_csv,
     read_sweep_csv,
     run_experiment,
     run_sweep,
@@ -23,6 +22,8 @@ from haseparator.runner import (
     write_sweep_csv,
 )
 from haseparator.trainer import TrainConfig
+
+from helpers import read_embeddings_csv
 
 
 def tiny_experiment(seed=0, loss_kind="softmax", **loss_kw):

@@ -119,7 +119,7 @@ class TestTrain:
     def test_zero_steps_returns_initial_model(self):
         data = blob_train_set()
         model = init_model((data.dim, 8, 4), data.num_classes, seed=1)
-        report = train(model, data, softmax_config(steps=0, seed=2))
+        report = train(model, data, softmax_config(steps=0), seed=2)
         assert report.records == []
         for a, b in zip(report.final_model.weights, model.weights):
             np.testing.assert_array_equal(a, b)
@@ -128,26 +128,26 @@ class TestTrain:
         data = blob_train_set()
         model = init_model((data.dim, 8, 4), data.num_classes, seed=3)
         before = [w.copy() for w in model.weights]
-        train(model, data, softmax_config(steps=5, seed=4))
+        train(model, data, softmax_config(steps=5), seed=4)
         for a, b in zip(model.weights, before):
             np.testing.assert_array_equal(a, b)
 
     def test_record_count_and_lr_column(self):
         data = blob_train_set()
         model = init_model((data.dim, 8, 4), data.num_classes, seed=5)
-        cfg = softmax_config(steps=20, batch_size=16, lr_drop_points=(10, 15), seed=6)
-        report = train(model, data, cfg)
+        cfg = softmax_config(steps=20, batch_size=16, lr_drop_points=(10, 15))
+        report = train(model, data, cfg, seed=6)
         assert len(report.records) == 20
         for record in report.records:
             assert record.lr == lr_at(record.step, cfg)
 
     def test_bitwise_determinism(self):
         data = blob_train_set()
-        cfg = softmax_config(steps=30, batch_size=16, seed=7)
+        cfg = softmax_config(steps=30, batch_size=16)
         runs = []
         for _ in range(2):
             model = init_model((data.dim, 8, 4), data.num_classes, seed=8)
-            runs.append(train(model, data, cfg))
+            runs.append(train(model, data, cfg, seed=7))
         first, second = runs
         for a, b in zip(first.final_model.weights, second.final_model.weights):
             np.testing.assert_array_equal(a, b)
@@ -159,8 +159,8 @@ class TestTrain:
     def test_separable_blobs_reach_full_train_accuracy(self):
         data = blob_train_set(stddev=0.4)
         model = init_model((data.dim, 16, 8), data.num_classes, seed=9)
-        cfg = softmax_config(steps=200, batch_size=32, base_lr=0.1, seed=10)
-        report = train(model, data, cfg)
+        cfg = softmax_config(steps=200, batch_size=32, base_lr=0.1)
+        report = train(model, data, cfg, seed=10)
         emb = forward(report.final_model, data.features).embeddings
         logits = scaled_cosine_logits(emb, report.final_model.class_weights, 3.0)
         assert accuracy(logits, data.labels) == 1.0
@@ -168,10 +168,8 @@ class TestTrain:
     def test_full_batch_loss_non_increasing_at_small_lr(self):
         data = blob_train_set()
         model = init_model((data.dim, 8, 4), data.num_classes, seed=11)
-        cfg = softmax_config(
-            steps=10, batch_size=len(data), base_lr=1e-3, seed=12
-        )
-        report = train(model, data, cfg)
+        cfg = softmax_config(steps=10, batch_size=len(data), base_lr=1e-3)
+        report = train(model, data, cfg, seed=12)
         losses = [r.c_all for r in report.records]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -182,10 +180,10 @@ class TestTrain:
         data = blob_train_set(per_class=10)
         cfg = softmax_config(
             steps=7, batch_size=len(data), base_lr=0.05, momentum=0.0,
-            weight_decay=0.0, seed=13,
+            weight_decay=0.0,
         )
         model = init_model((data.dim, 6, 4), data.num_classes, seed=14)
-        report = train(model, data, cfg)
+        report = train(model, data, cfg, seed=13)
 
         oracle = model.copy()
         rng = np.random.default_rng(13)
@@ -209,16 +207,16 @@ class TestTrain:
         data = blob_train_set()
         model = init_model((data.dim, 8, 4), data.num_classes, seed=15)
         with pytest.raises(ConfigError):
-            train(model, data, softmax_config(steps=10, lr_drop_points=(10,)))
+            train(model, data, softmax_config(steps=10, lr_drop_points=(10,)), seed=0)
 
     def test_haseparator_training_reduces_separator_loss(self):
         data = blob_train_set()
         model = init_model((data.dim, 16, 8), data.num_classes, seed=16)
         cfg = TrainConfig(
-            steps=150, batch_size=32, seed=17,
+            steps=150, batch_size=32,
             loss=LossConfig(loss_kind="haseparator", sigma=3.0, margin=0.9),
         )
-        report = train(model, data, cfg)
+        report = train(model, data, cfg, seed=17)
         first = np.mean([r.c_sep for r in report.records[:10]])
         last = np.mean([r.c_sep for r in report.records[-10:]])
         assert last < first
@@ -229,9 +227,9 @@ class TestTrain:
         cfg = softmax_config(steps=100, base_lr=1e6)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as info:
-                train(model, data, cfg)
+                train(model, data, cfg, seed=0)
             step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
-            report = train(model, data, replace(cfg, steps=step))
+            report = train(model, data, replace(cfg, steps=step), seed=0)
         assert step > 0
         assert all(math.isfinite(r.c_all) for r in report.records)
 
@@ -240,7 +238,7 @@ class TestReportCsv:
     def test_round_trip(self, tmp_path):
         data = blob_train_set()
         model = init_model((data.dim, 8, 4), data.num_classes, seed=18)
-        report = train(model, data, softmax_config(steps=5, seed=19))
+        report = train(model, data, softmax_config(steps=5), seed=19)
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         with open(path, newline="") as fh:
