@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonNumericCellError, RaggedRowError
+from .errors import ConfigError, DataFormatError, NonNumericCellError, RaggedRowError
 from .tensor import as_labels, as_matrix, normalize
 
 VARIANCE_FLOOR = 1e-12
@@ -124,6 +124,15 @@ def standardize(features) -> np.ndarray:
     return out
 
 
+def read_text_lines(path, error) -> list[str]:
+    """A UTF-8 file's lines, endings kept; other bytes raise `error` naming the path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_delimited(
     path,
     label_column: int = -1,
@@ -136,11 +145,10 @@ def load_delimited(
 
     The label column must hold integer class ids; the remaining columns are
     features, standardized per feature unless standardize_features=False.
-    Missing file, ragged rows, and non-numeric or non-finite (nan, inf)
-    cells raise distinct errors.
+    Missing file, bytes that are not UTF-8, ragged rows, and non-numeric or
+    non-finite (nan, inf) cells raise distinct errors.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
+    lines = [ln.strip() for ln in read_text_lines(path, DataFormatError)]
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     if has_header:
         rows = rows[1:]
@@ -183,9 +191,18 @@ def load_delimited(
     return Dataset(features, labels, int(labels.max()) + 1, split)
 
 
+def write_rows(fh, values, delimiter: str, labels=None) -> None:
+    """One line per table row: 17 significant digits a value (an exact float64
+    round trip), then the integer label when labels are given."""
+    columns, rows = ["%.17g"] * values.shape[1], values.tolist()
+    if labels is not None:
+        columns.append("%d")
+        rows = ((*row, label) for row, label in zip(rows, np.asarray(labels).tolist()))
+    line = delimiter.join(columns) + "\n"
+    fh.writelines(line % tuple(row) for row in rows)
+
+
 def save_delimited(dataset: Dataset, path, delimiter: str = ",") -> None:
     """Write features plus a final label column, the loader's default layout."""
     with open(path, "w") as fh:
-        for row, label in zip(dataset.features, dataset.labels):
-            cells = [format(v, ".17g") for v in row] + [str(int(label))]
-            fh.write(delimiter.join(cells) + "\n")
+        write_rows(fh, dataset.features, delimiter, dataset.labels)

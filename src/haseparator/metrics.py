@@ -9,7 +9,6 @@ distance in degrees (topological margin between the distributions).
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -22,6 +21,8 @@ from .tensor import EPSILON, as_labels, as_matrix
 KL_SMOOTHING = 1e-10
 DEFAULT_BINS = 180
 DEFAULT_MAX_PAIRS = 200_000
+# Pairs whose rows are gathered at once, so memory does not grow with the cap.
+PAIR_CHUNK = 4096
 
 
 @dataclass
@@ -158,7 +159,10 @@ def pair_angles(
     neg_j = order[offsets[c2[block]] + minor]
 
     def _angles(i, j):
-        cos = np.einsum("ij,ij->i", unit[i], unit[j])
+        cos = np.empty(i.size)
+        for s in range(0, i.size, PAIR_CHUNK):
+            e = s + PAIR_CHUNK
+            np.einsum("ij,ij->i", unit[i[s:e]], unit[j[s:e]], out=cos[s:e])
         return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
     return _angles(pos_i, pos_j), _angles(neg_i, neg_j)
@@ -227,15 +231,12 @@ def accuracy(logits, labels) -> float:
 
 
 def write_histogram_csv(h: AngleHistograms, path) -> None:
-    """Rows of bin_start_deg, bin_end_deg, pos_count, neg_count."""
+    """CRLF-terminated rows of bin_start_deg, bin_end_deg, pos_count, neg_count."""
+    rows = zip(h.bin_edges[:-1].tolist(), h.bin_edges[1:].tolist(),
+               h.pos_counts.tolist(), h.neg_counts.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start_deg", "bin_end_deg", "pos_count", "neg_count"])
-        for b in range(h.num_bins):
-            writer.writerow(
-                [format(h.bin_edges[b], ".10g"), format(h.bin_edges[b + 1], ".10g"),
-                 int(h.pos_counts[b]), int(h.neg_counts[b])]
-            )
+        fh.write("bin_start_deg,bin_end_deg,pos_count,neg_count\r\n")
+        fh.writelines("%.10g,%.10g,%d,%d\r\n" % row for row in rows)
 
 
 def write_scores_json(scores: DiscriminationScores, path) -> None:

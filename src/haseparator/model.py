@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_text_lines, write_rows
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import as_matrix
 
@@ -132,26 +133,23 @@ def save_checkpoint(model: MlpModel, path) -> None:
     layer0.bias, layer1.weight, ... , class_weights; biases are stored as
     1 x n matrices.
     """
-    lines = [CHECKPOINT_MAGIC]
-    lines.append("layer_dims " + " ".join(str(d) for d in model.layer_dims))
-    lines.append(f"num_classes {model.num_classes}")
     named = []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         named.append((f"layer{i}.weight", w))
         named.append((f"layer{i}.bias", b.reshape(1, -1)))
     named.append(("class_weights", model.class_weights))
-    for name, values in named:
-        lines.append(f"param {name} {values.shape[0]} {values.shape[1]}")
-        for row in values:
-            lines.append(" ".join(format(v, ".17g") for v in row))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{CHECKPOINT_MAGIC}\n")
+        fh.write("layer_dims " + " ".join(str(d) for d in model.layer_dims) + "\n")
+        fh.write(f"num_classes {model.num_classes}\n")
+        for name, values in named:
+            fh.write(f"param {name} {values.shape[0]} {values.shape[1]}\n")
+            write_rows(fh, values, " ")
 
 
 def load_checkpoint(path) -> MlpModel:
     """Read a checkpoint written by save_checkpoint; raises CheckpointError."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\r\n") for ln in read_text_lines(path, CheckpointError)]
     try:
         if not lines or lines[0] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")

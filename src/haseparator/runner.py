@@ -21,7 +21,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, gaussian_blobs, load_delimited, split_dataset, two_rings
+from .data import (
+    Dataset, gaussian_blobs, load_delimited, read_text_lines, split_dataset, two_rings, write_rows,
+)
 from .errors import ConfigError, DataFormatError
 from .losses import ARCFACE, HASEPARATOR, LOSS_KINDS
 from .metrics import (
@@ -198,9 +200,7 @@ def write_embeddings_csv(embeddings, labels, path) -> None:
     embeddings = np.asarray(embeddings, dtype=np.float64)
     with open(path, "w") as fh:
         fh.write(f"{embeddings.shape[1]}\n")
-        for row, label in zip(embeddings, labels):
-            cells = [format(v, ".17g") for v in row] + [str(int(label))]
-            fh.write(",".join(cells) + "\n")
+        write_rows(fh, embeddings, ",", labels)
 
 
 def _flatten_config(value, prefix="") -> list[tuple[str, str]]:
@@ -370,26 +370,21 @@ def read_sweep_csv(path) -> list[SweepRecord]:
     or an unparsable cell raises DataFormatError naming the path and line,
     and bytes that are not UTF-8 one naming the path."""
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        reader = csv.DictReader(lines)
-        missing = [c for c in _SWEEP_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataFormatError(f"{path}:1: missing sweep columns {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row or None in row.values():
-                raise DataFormatError(f"{where}: expected {len(reader.fieldnames)} fields")
-            values = {}
-            for column, parse in _SWEEP_COLUMNS.items():
-                try:
-                    values[column] = parse(row[column])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{where}: column {column!r} cannot parse {row[column]!r}"
-                    ) from None
-            records.append(SweepRecord(loss_kind=values.pop("loss"), **values))
+    reader = csv.DictReader(read_text_lines(path, DataFormatError))
+    missing = [c for c in _SWEEP_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise DataFormatError(f"{path}:1: missing sweep columns {', '.join(missing)}")
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        if None in row or None in row.values():
+            raise DataFormatError(f"{where}: expected {len(reader.fieldnames)} fields")
+        values = {}
+        for column, parse in _SWEEP_COLUMNS.items():
+            try:
+                values[column] = parse(row[column])
+            except ValueError:
+                raise DataFormatError(
+                    f"{where}: column {column!r} cannot parse {row[column]!r}"
+                ) from None
+        records.append(SweepRecord(loss_kind=values.pop("loss"), **values))
     return records

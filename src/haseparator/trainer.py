@@ -9,7 +9,6 @@ reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -173,13 +172,8 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig, seed) -> Train
 
 
 def write_report_csv(report: TrainReport, path) -> None:
-    """One row per training step: step, lr, c_all, c_ce, c_sep, train_acc."""
+    """One CRLF-terminated row per step: step, lr, c_all, c_ce, c_sep, train_acc."""
+    rows = ((r.step, r.lr, r.c_all, r.c_ce, r.c_sep, r.train_acc) for r in report.records)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "c_all", "c_ce", "c_sep", "train_acc"])
-        for r in report.records:
-            writer.writerow(
-                [r.step, format(r.lr, ".17g"), format(r.c_all, ".17g"),
-                 format(r.c_ce, ".17g"), format(r.c_sep, ".17g"),
-                 format(r.train_acc, ".17g")]
-            )
+        fh.write("step,lr,c_all,c_ce,c_sep,train_acc\r\n")
+        fh.writelines("%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % row for row in rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.optimize import linprog
 from haseparator import losses
 from haseparator.errors import ConfigError, ShapeError
 from haseparator.losses import HASEPARATOR, ARCFACE, LossResult, compute_loss
+from haseparator.model import CHECKPOINT_MAGIC
 from haseparator.tensor import EPSILON, as_labels, as_matrix, normalize, normalize_backward
 
 FD_STEP = 1e-6
@@ -342,3 +344,65 @@ def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
             rows.append([float(c) for c in cells[:-1]])
             labels.append(int(cells[-1]))
     return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+def per_value_save_delimited(dataset, path, delimiter=","):
+    """data.save_delimited as first written, one format() call per value.
+
+    This and the four writers below are the byte-for-byte references for
+    the library's text tables, which format a whole row with one %-format
+    string.
+    """
+    with open(path, "w") as fh:
+        for row, label in zip(dataset.features, dataset.labels):
+            cells = [format(v, ".17g") for v in row] + [str(int(label))]
+            fh.write(delimiter.join(cells) + "\n")
+
+
+def per_value_write_embeddings_csv(embeddings, labels, path):
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    with open(path, "w") as fh:
+        fh.write(f"{embeddings.shape[1]}\n")
+        for row, label in zip(embeddings, labels):
+            cells = [format(v, ".17g") for v in row] + [str(int(label))]
+            fh.write(",".join(cells) + "\n")
+
+
+def per_value_save_checkpoint(model, path):
+    lines = [CHECKPOINT_MAGIC]
+    lines.append("layer_dims " + " ".join(str(d) for d in model.layer_dims))
+    lines.append(f"num_classes {model.num_classes}")
+    named = []
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        named.append((f"layer{i}.weight", w))
+        named.append((f"layer{i}.bias", b.reshape(1, -1)))
+    named.append(("class_weights", model.class_weights))
+    for name, values in named:
+        lines.append(f"param {name} {values.shape[0]} {values.shape[1]}")
+        for row in values:
+            lines.append(" ".join(format(v, ".17g") for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def per_value_write_histogram_csv(h, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin_start_deg", "bin_end_deg", "pos_count", "neg_count"])
+        for b in range(h.num_bins):
+            writer.writerow(
+                [format(h.bin_edges[b], ".10g"), format(h.bin_edges[b + 1], ".10g"),
+                 int(h.pos_counts[b]), int(h.neg_counts[b])]
+            )
+
+
+def per_value_write_report_csv(report, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "lr", "c_all", "c_ce", "c_sep", "train_acc"])
+        for r in report.records:
+            writer.writerow(
+                [r.step, format(r.lr, ".17g"), format(r.c_all, ".17g"),
+                 format(r.c_ce, ".17g"), format(r.c_sep, ".17g"),
+                 format(r.train_acc, ".17g")]
+            )

@@ -1,6 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from haseparator.cli import main
 from haseparator.data import (
     Dataset,
     gaussian_blobs,
@@ -12,10 +18,32 @@ from haseparator.data import (
 )
 from haseparator.errors import (
     ConfigError,
+    DataFormatError,
     LabelError,
     NonNumericCellError,
     RaggedRowError,
 )
+from haseparator.metrics import AngleHistograms, write_histogram_csv
+from haseparator.model import MlpModel, load_checkpoint, save_checkpoint
+from haseparator.runner import write_embeddings_csv
+from haseparator.trainer import StepRecord, TrainReport, write_report_csv
+from helpers import (
+    per_value_save_checkpoint,
+    per_value_save_delimited,
+    per_value_write_embeddings_csv,
+    per_value_write_histogram_csv,
+    per_value_write_report_csv,
+)
+
+# Signed zero, subnormals, the ends of the float range and integral values,
+# each of which the 17-digit text must round-trip exactly.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+               3.0, -42.0, 2.0**53 + 2, 1e16, 0.1]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def float_table(rows, cols):
+    return arrays(np.float64, (rows, cols), elements=floats)
 
 
 class TestDataset:
@@ -134,6 +162,16 @@ class TestLoadDelimited:
         with pytest.raises(FileNotFoundError):
             load_delimited(tmp_path / "absent.csv")
 
+    def test_non_utf8_file_names_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe" + "1,2,0\n3,4,1\n".encode("utf-16-le"))
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            load_delimited(path)
+        code = main(["train", "--dataset", f"file:{path}", "--steps", "2",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2,0\n1,2,3,0\n")
@@ -177,3 +215,68 @@ class TestLoadDelimited:
         loaded = load_delimited(path, label_column=0, standardize_features=False)
         assert loaded.labels.tolist() == [1, 0]
         np.testing.assert_allclose(loaded.features[0], [5.0, 6.0])
+
+
+class TestTextTables:
+    """Row-at-a-time writers give the per-value writers' bytes and round-trip."""
+
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 5),
+           delimiter=st.sampled_from([",", ";", "\t"]))
+    @settings(max_examples=100, deadline=None)
+    def test_delimited_and_embeddings_bytes(self, tmp_path_factory, data, rows, cols, delimiter):
+        out = tmp_path_factory.mktemp("rows")
+        features = data.draw(float_table(rows, cols))
+        labels = data.draw(arrays(np.int64, rows, elements=st.integers(0, 11)))
+        dataset = Dataset(features, labels, 12)
+        save_delimited(dataset, out / "new.csv", delimiter)
+        per_value_save_delimited(dataset, out / "old.csv", delimiter)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+        loaded = load_delimited(out / "new.csv", delimiter=delimiter, standardize_features=False)
+        assert loaded.features.tobytes() == features.tobytes()
+        assert loaded.labels.tobytes() == labels.tobytes()
+
+        write_embeddings_csv(features, labels, out / "new_emb.csv")
+        per_value_write_embeddings_csv(features, labels, out / "old_emb.csv")
+        assert (out / "new_emb.csv").read_bytes() == (out / "old_emb.csv").read_bytes()
+
+    @given(data=st.data(), dims=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+           num_classes=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_checkpoint_bytes(self, tmp_path_factory, data, dims, num_classes):
+        out = tmp_path_factory.mktemp("checkpoint")
+        pairs = list(zip(dims[:-1], dims[1:]))
+        model = MlpModel(
+            tuple(dims),
+            [data.draw(float_table(a, b)) for a, b in pairs],
+            [data.draw(float_table(1, b)).reshape(-1) for _, b in pairs],
+            data.draw(float_table(dims[-1], num_classes)),
+        )
+        save_checkpoint(model, out / "new.txt")
+        per_value_save_checkpoint(model, out / "old.txt")
+        assert (out / "new.txt").read_bytes() == (out / "old.txt").read_bytes()
+        loaded = load_checkpoint(out / "new.txt")
+        assert loaded.layer_dims == model.layer_dims
+        for got, want in zip(loaded.weights + loaded.biases + [loaded.class_weights],
+                             model.weights + model.biases + [model.class_weights]):
+            assert got.tobytes() == want.tobytes()
+
+    @given(data=st.data(), bins=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_histogram_bytes(self, tmp_path_factory, data, bins):
+        out = tmp_path_factory.mktemp("hist")
+        counts = arrays(np.int64, bins, elements=st.integers(0, 2**40))
+        pos, neg = data.draw(counts), data.draw(counts)
+        h = AngleHistograms(data.draw(float_table(1, bins + 1)).reshape(-1), pos, neg,
+                            int(pos.sum()), int(neg.sum()))
+        write_histogram_csv(h, out / "new.csv")
+        per_value_write_histogram_csv(h, out / "old.csv")
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    @given(steps=st.lists(st.tuples(st.integers(0, 10**6), *[st.floats()] * 5), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_report_bytes(self, tmp_path_factory, steps):
+        out = tmp_path_factory.mktemp("report")
+        report = TrainReport([StepRecord(*values) for values in steps], final_model=None)
+        write_report_csv(report, out / "new.csv")
+        per_value_write_report_csv(report, out / "old.csv")
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from haseparator.errors import ConfigError, LabelError
 from haseparator.metrics import (
+    PAIR_CHUNK,
     AngleHistograms,
     DiscriminationScores,
     accuracy,
@@ -180,6 +182,41 @@ class TestPairAnglesMatchLoopOracle:
         for actual, reference in zip(got, expected):
             assert actual.dtype == reference.dtype
             assert actual.tobytes() == reference.tobytes()
+
+
+class TestPairAngleChunks:
+    """Cosines computed chunk by chunk: exact across chunk edges, bounded memory."""
+
+    @pytest.mark.parametrize(
+        "counts, cap",
+        [
+            ([120, 120, 120], 10_000),  # both kinds sampled by partial permutation
+            ([120, 120, 120], 50_000),  # every pair of both kinds
+            ([1500, 1500], 9_000),  # more than 1e6 pairs: the iid-draw sampler
+        ],
+    )
+    def test_chunk_edges_match_loop_oracle(self, counts, cap):
+        rng = np.random.default_rng(sum(counts) + cap)
+        labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        e = rng.normal(size=(labels.size, 5))
+        expected = loop_pair_angles(e, labels, cap, seed=cap)
+        got = pair_angles(e, labels, max_pairs_per_kind=cap, seed=cap)
+        for actual, reference in zip(got, expected):
+            assert actual.size > 2 * PAIR_CHUNK and actual.size % PAIR_CHUNK
+            assert actual.tobytes() == reference.tobytes()
+
+    def test_memory_does_not_grow_with_the_pair_cap(self):
+        # Gathering both rows of all 200 000 pairs at once traces ~227 MB.
+        rng = np.random.default_rng(8)
+        e = rng.normal(size=(8000, 64))
+        labels = np.repeat(np.arange(50), 160)
+        tracemalloc.start()
+        try:
+            pair_angles(e, labels, max_pairs_per_kind=200_000, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestBuildHistograms:

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from haseparator.cli import main
 from haseparator.errors import CheckpointError, ConfigError, ShapeError
 from haseparator.losses import LossConfig, compute_loss
 from haseparator.model import (
@@ -203,6 +206,15 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nope.txt")
+
+    def test_non_utf8_file_names_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe" + "1,2,0\n3,4,1\n".encode("utf-16-le"))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+        code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_parameter_names_it(self, tmp_path, value):
