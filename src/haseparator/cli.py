@@ -2,17 +2,19 @@
 summarize sweep results.
 
 The options of train, sweep and eval are derived from the config dataclasses:
-ExperimentConfig for train and eval (eval takes only its dataset, bins,
-max_pairs and seed) and SweepConfig for sweep. A field's flag is its leaf
-name with "_" as "-"; its parser comes from the field's annotation and its
-default from the dataclass. The exceptions are the tables below, the
-default jobs of sweep (the CPU count, in _root), and epochs, which clears
-the default steps (in _config).
+ExperimentConfig for train and eval and SweepConfig for sweep. eval has
+flags only for the dataset, bins, max_pairs and seed, but its config file
+takes every dotted ExperimentConfig key and ignores the training ones. A
+field's flag is its leaf name with "_" as "-"; its parser comes from the
+field's annotation and its default from the dataclass. The exceptions are
+the tables below, the default jobs of sweep (the CPU count, in _root), and
+epochs, which clears the default steps (in _config).
 
 A --config file holds key=value lines; a line's leading/trailing whitespace
 is ignored and # starts a comment. A key is a flag name or the dotted field
 path that config.txt echoes, so `train --config <run>/config.txt` and `sweep
---config <sweep>/config.txt` replay a run. train.loss.arc_margin is in
+--config <sweep>/config.txt` replay a run, and `eval --config
+<run>/config.txt` replays its evaluation. train.loss.arc_margin is in
 radians, --arc-margin-deg in degrees. Flags override file values, and the
 effective settings are echoed into the output directory next to the results.
 """
@@ -75,7 +77,8 @@ _FLAG_NAMES = {
 }
 # --arc-margin-deg takes degrees; the field and its dotted key hold radians.
 _FLAG_PARSERS = {"arc_margin": _degrees}
-# ExperimentConfig fields that eval reads; the others only shape training.
+# ExperimentConfig fields that eval reads and has flags for; the others only
+# shape training.
 _EVAL_FIELDS = ("dataset", "bins", "max_pairs", "seed")
 # Sweep fields without a flag: the grid sets each cell's loss and seed, and
 # --seed/--num-seeds stand for seeds.
@@ -125,10 +128,10 @@ def _keys(command: str) -> tuple[dict, list[str]]:
     keys = {key: (key, parse) for key, parse in _EXTRA_KEYS[command].items()}
     flags = list(keys)
     for path, annotation in _leaves(_root(command)):
-        if command == "eval" and path.split(".")[0] not in _EVAL_FIELDS:
-            continue
         keys[path] = (path, _parser(annotation))
         if command == "sweep" and path.startswith(_SWEEP_UNFLAGGED):
+            continue
+        if command == "eval" and path.split(".")[0] not in _EVAL_FIELDS:
             continue
         leaf = path.rsplit(".", 1)[-1]
         flag = _FLAG_NAMES.get(leaf, leaf.replace("_", "-"))
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", cmd_sweep, "run a loss x sigma x margin x seed grid; --loss/--sigma/--margin "
          "accept comma-separated lists, seeds are seed..seed+num-seeds-1"),
         ("eval", cmd_eval, "recompute metrics for a checkpoint; pass the same --dataset/--seed "
-         "as training to reproduce its evaluation exactly"),
+         "as training, or --config <run>/config.txt, to reproduce its evaluation exactly"),
     )
     for command, func, help_text in commands:
         command_p = sub.add_parser(command, help=help_text)

@@ -157,7 +157,7 @@ def load_delimited(
     parsed = []
     width = None
     for lineno, row in enumerate(rows, start=1):
-        cells = [c.strip() for c in row.split(delimiter)]
+        cells = row.split(delimiter)  # float() ignores the whitespace around a cell
         if width is None:
             width = len(cells)
         elif len(cells) != width:

@@ -9,6 +9,10 @@ hyperplanes; the normal for class pair (target, other) is the normalized
 difference of the two unit weight columns, oriented target-minus-other so
 that well-separated embeddings have large positive projections.
 
+A loss call also takes a stack of runs: embeddings K x B x N, weights
+K x N x C, labels K x B and a LossStack of per-run settings. Each run's
+values are bitwise those of its own 2-d call.
+
 All gradients are analytic (chain rule through the normalizations, the
 cosine and Gram-matrix closed form of the projections, and the
 piecewise-linear hinge) and are validated against central finite
@@ -74,13 +78,37 @@ class LossConfig:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class LossStack:
+    """The loss settings of a stack of runs that share one loss kind.
+
+    sigma, margin and arc_margin hold one value per run, shaped (K, 1, 1) to
+    broadcast over the stack's K x B x C arrays. compute_loss takes it where
+    it takes a LossConfig; of() builds it from validated LossConfigs.
+    """
+
+    loss_kind: str
+    sigma: np.ndarray
+    margin: np.ndarray
+    arc_margin: np.ndarray
+
+    @classmethod
+    def of(cls, configs) -> "LossStack":
+        kinds = {c.loss_kind for c in configs}
+        if len(kinds) != 1:
+            raise ConfigError(f"a loss stack needs one loss kind, got {sorted(kinds)}")
+        column = lambda name: np.array([getattr(c, name) for c in configs]).reshape(-1, 1, 1)
+        return cls(kinds.pop(), column("sigma"), column("margin"), column("arc_margin"))
+
+
 @dataclass
 class LossResult:
     """Forward values and analytic gradients of one loss evaluation.
 
     total_loss = ce_loss + separator_loss. projections is None for the
     losses without a separator term. Gradients are with respect to the raw
-    (unnormalized) embeddings and classification weights.
+    (unnormalized) embeddings and classification weights. For a stack the
+    three losses hold one value per run.
     """
 
     total_loss: float
@@ -103,13 +131,19 @@ def scaled_cosine_logits(e, w, sigma: float) -> np.ndarray:
     return sigma * (normalize(e, 1)[0] @ normalize(w, 0)[0])
 
 
-def _cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
-    batch = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    loss = float(-np.mean(log_probs[np.arange(batch), labels]))
+def _target_index(labels) -> tuple:
+    """Fancy index of each sample's target entry in a (..., B, C) array."""
+    return (*np.ix_(*(np.arange(n) for n in labels.shape)), labels)
+
+
+def _cross_entropy(logits, labels):
+    batch = logits.shape[-2]
+    target = _target_index(labels)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    loss = -np.mean(log_probs[target], axis=-1)
     grad = np.exp(log_probs)
-    grad[np.arange(batch), labels] -= 1.0
+    grad[target] -= 1.0
     return loss, grad / batch
 
 
@@ -125,14 +159,16 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
         raise ConfigError(
             f"got {labels.shape[0]} labels for {logits.shape[0]} logit rows"
         )
-    return _cross_entropy(logits, labels)
+    loss, grad = _cross_entropy(logits, labels)
+    return float(loss), grad
 
 
-def _hinge(projections, margin, labels) -> tuple[np.ndarray, float]:
-    batch = projections.shape[0]
+def _hinge(projections, margin, labels):
     costs = np.maximum(margin - projections, 0.0)
-    costs[np.arange(batch), labels] = 0.0
-    return costs, float(costs.sum() / batch)
+    costs[_target_index(labels)] = 0.0
+    # Each run's costs summed as one flat row, as a 2-d array's sum() adds them.
+    total = costs.reshape(*costs.shape[:-2], -1).sum(axis=-1)
+    return costs, total / projections.shape[-2]
 
 
 def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
@@ -149,21 +185,24 @@ def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
         raise ConfigError(
             f"got {labels.shape[0]} labels for {projections.shape[0]} projection rows"
         )
-    return _hinge(projections, margin, labels)
+    costs, loss = _hinge(projections, margin, labels)
+    return costs, float(loss)
 
 
 def _prepare(e, w, labels):
     """The one validation boundary of a loss call; the kernels trust its output."""
-    e = as_matrix(e)
-    w = as_matrix(w)
-    if e.shape[1] != w.shape[0]:
+    e = as_matrix(e, stack=True)
+    w = as_matrix(w, stack=True)
+    if e.shape[:-2] != w.shape[:-2]:
+        raise ConfigError(f"embedding stack {e.shape} does not match weight stack {w.shape}")
+    if e.shape[-1] != w.shape[-2]:
         raise ConfigError(
-            f"embedding dim {e.shape[1]} does not match weight rows {w.shape[0]}"
+            f"embedding dim {e.shape[-1]} does not match weight rows {w.shape[-2]}"
         )
-    labels = as_labels(labels, w.shape[1])
-    if labels.shape[0] != e.shape[0]:
+    labels = as_labels(labels, w.shape[-1], stack=True)
+    if labels.shape != e.shape[:-1]:
         raise ConfigError(
-            f"got {labels.shape[0]} labels for batch of {e.shape[0]}"
+            f"got {labels.shape[-1]} labels for batch of {e.shape[-2]}"
         )
     return e, w, labels
 
@@ -175,12 +214,15 @@ def _inverse_normal_lengths(w_hat) -> np.ndarray:
     Entries below _GRAM_RECHECK (always the diagonal) are recomputed from the
     column difference, so zero and collinear columns give exactly 0.
     """
-    gram = w_hat.T @ w_hat
-    sq_norms = np.diag(gram)
-    sq = sq_norms[:, None] + sq_norms - 2.0 * gram
-    t, j = np.nonzero(sq < _GRAM_RECHECK)
-    diff = w_hat[:, t] - w_hat[:, j]
-    sq[t, j] = np.sum(diff * diff, axis=0)
+    gram = np.swapaxes(w_hat, -1, -2) @ w_hat
+    sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
+    sq = sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * gram
+    pairs = np.nonzero(sq < _GRAM_RECHECK)
+    # Feature axis first, so each difference is summed down a column as in
+    # the 2-d case: summing along a row instead can change the last bit.
+    columns = np.moveaxis(w_hat, -2, 0)
+    diff = columns[(slice(None), *pairs[:-1])] - columns[(slice(None), *pairs[:-2], pairs[-1])]
+    sq[pairs] = np.sum(diff * diff, axis=0)
     lengths = np.sqrt(sq)
     return np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > EPSILON)
 
@@ -200,63 +242,72 @@ def _separator(cosines, w_hat, labels, margin):
     of the loss with respect to the cosines, and S_tj = dL/dG_tj summed over
     the samples of target class t.
     """
-    batch, num_classes = cosines.shape
+    batch, num_classes = cosines.shape[-2:]
     if num_classes < 2:
         raise ConfigError("separator loss needs at least 2 classes")
-    rows = np.arange(batch)
-    inv_lengths = _inverse_normal_lengths(w_hat)[labels]  # B x C
+    target = _target_index(labels)
+    inv_lengths = _inverse_normal_lengths(w_hat)[(*target[:-2], labels)]  # B x C
     # Projections onto unit normals lie in [-1, 1]. The clip only removes
     # the rounding of cos_it - cos_ij, which 1 / d amplifies for nearly
     # collinear columns.
     projections = np.clip(
-        (cosines[rows, labels][:, None] - cosines) * inv_lengths, -1.0, 1.0
+        (cosines[target][..., None] - cosines) * inv_lengths, -1.0, 1.0
     )
     _, loss = _hinge(projections, margin, labels)
 
     # Hinge subgradient -1/B on active non-target entries, 0 elsewhere
     # (including exactly at the kink p == margin), times dp/dcos = 1/d.
     active = projections < margin
-    active[rows, labels] = False
+    active[target] = False
     slope = np.where(active, -1.0 / batch, 0.0) * inv_lengths
 
     # p_ij rises with cos_it and falls with cos_ij.
     grad_cos = -slope
-    grad_cos[rows, labels] += slope.sum(axis=1)
+    grad_cos[target] += slope.sum(axis=-1)
 
-    # Through d_tj, G_tt and G_jj each take -S_tj / 2.
+    # Through d_tj, G_tt and G_jj each take -S_tj / 2. A stack's runs get
+    # disjoint bins, so each run's sums are its own.
+    runs = cosines.shape[:-2]
+    groups = labels + num_classes * np.arange(math.prod(runs)).reshape(*runs, 1)
     gram_grad = np.bincount(
-        (labels[:, None] * num_classes + np.arange(num_classes)).ravel(),
+        (groups[..., None] * num_classes + np.arange(num_classes)).ravel(),
         weights=(slope * projections * inv_lengths).ravel(),
-        minlength=num_classes * num_classes,
-    ).reshape(num_classes, num_classes)
+        minlength=math.prod(runs) * num_classes * num_classes,
+    ).reshape(*runs, num_classes, num_classes)
     return projections, loss, grad_cos, gram_grad
 
 
-def _cosine_head_loss(e, w, labels, sigma, arc_margin=0.0, margin=None):
+def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
     """Cross-entropy on sigma * cos, the path all three losses share.
 
-    arc_margin > 0 replaces the target logits with arcface's; a margin adds
-    the separator's hinge. With neither it is the plain softmax head.
+    An arc_margin replaces the target logits with arcface's wherever it is
+    above 0; a margin adds the separator's hinge. With neither it is the
+    plain softmax head. For a stack, e, w and labels carry a leading run
+    axis and each setting is one value per run, shaped (K, 1, 1).
     """
     e, w, labels = _prepare(e, w, labels)
-    rows = np.arange(e.shape[0])
+    target = _target_index(labels)
 
-    e_hat, e_norms = normalize(e, 1)
-    w_hat, w_norms = normalize(w, 0)
+    e_hat, e_norms = normalize(e, -1)
+    w_hat, w_norms = normalize(w, -2)
     cosines = e_hat @ w_hat
 
     logits = sigma * cosines
-    if arc_margin > 0:
+    if arc_margin is not None:
         # Arcface's target logit sigma * cos(theta + m); see arcface_loss.
-        target_cos = cosines[rows, labels]
+        # Target entries keep a trailing axis to broadcast with the settings.
+        target_cos = cosines[target][..., None]
         clamped = np.clip(target_cos, -1.0 + _COS_CLAMP, 1.0 - _COS_CLAMP)
         theta = np.arccos(clamped)
         theta_kept = np.minimum(theta, math.pi - arc_margin)
-        logits[rows, labels] = sigma * np.cos(theta_kept + arc_margin)
+        shifted = arc_margin > 0
+        logits[target] = np.where(
+            shifted, sigma * np.cos(theta_kept + arc_margin), sigma * target_cos
+        )[..., 0]
     ce_loss, grad_logits = _cross_entropy(logits, labels)
 
     grad_cos = sigma * grad_logits
-    if arc_margin > 0:
+    if arc_margin is not None:
         # d logit / d cos on the target entries; zero wherever either clamp
         # (cosine range or angle cap) is active.
         live = (np.abs(target_cos) < 1.0 - _COS_CLAMP) & (theta < math.pi - arc_margin)
@@ -265,7 +316,8 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=0.0, margin=None):
             sigma * np.sin(theta_kept + arc_margin) / np.sqrt(1.0 - clamped**2),
             0.0,
         )
-        grad_cos[rows, labels] = grad_logits[rows, labels] * slope
+        grad_target = grad_logits[target][..., None]
+        grad_cos[target] = np.where(shifted, grad_target * slope, sigma * grad_target)[..., 0]
     total_loss, separator_loss, projections = ce_loss, 0.0, None
     if margin is not None:
         projections, separator_loss, sep_grad_cos, gram_grad = _separator(
@@ -274,12 +326,12 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=0.0, margin=None):
         total_loss = ce_loss + separator_loss
         grad_cos += sep_grad_cos
 
-    grad_w_hat = e_hat.T @ grad_cos
+    grad_w_hat = np.swapaxes(e_hat, -1, -2) @ grad_cos
     if margin is not None:
         # Pulled back through G = w_hat^T w_hat, S adds
         # w_hat (S + S^T - diag(colsum S + rowsum S)).
-        grad_w_hat += w_hat @ (gram_grad + gram_grad.T)
-        grad_w_hat -= w_hat * (gram_grad.sum(axis=0) + gram_grad.sum(axis=1))
+        grad_w_hat += w_hat @ (gram_grad + np.swapaxes(gram_grad, -1, -2))
+        grad_w_hat -= w_hat * (gram_grad.sum(axis=-2) + gram_grad.sum(axis=-1))[..., None, :]
 
     return LossResult(
         total_loss=total_loss,
@@ -287,8 +339,10 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=0.0, margin=None):
         separator_loss=separator_loss,
         logits=logits,
         projections=projections,
-        grad_embeddings=normalize_backward(e_hat, e_norms, grad_cos @ w_hat.T, 1),
-        grad_weights=normalize_backward(w_hat, w_norms, grad_w_hat, 0),
+        grad_embeddings=normalize_backward(
+            e_hat, e_norms, grad_cos @ np.swapaxes(w_hat, -1, -2), -1
+        ),
+        grad_weights=normalize_backward(w_hat, w_norms, grad_w_hat, -2),
     )
 
 
@@ -311,7 +365,7 @@ def arcface_loss(e, w, labels, config: LossConfig) -> LossResult:
 
     The target cosine is clamped before arccos, and the target angle is
     capped at pi - arc_margin so the shifted angle stays within [0, pi].
-    With arc_margin == 0 this follows exactly the softmax code path.
+    With arc_margin == 0 it gives exactly the softmax values, bit for bit.
     """
     return _cosine_head_loss(e, w, labels, config.sigma, arc_margin=config.arc_margin)
 

@@ -221,13 +221,18 @@ def emd_1d(h: AngleHistograms) -> float:
     return float(h.bin_width * np.sum(np.abs(np.cumsum(p - q))))
 
 
-def accuracy(logits, labels) -> float:
-    """Fraction of rows whose argmax matches the label (ties: lowest index)."""
-    logits = as_matrix(logits)
-    labels = as_labels(labels, logits.shape[1])
-    if labels.shape[0] != logits.shape[0]:
+def accuracy(logits, labels):
+    """Fraction of rows whose argmax matches the label (ties: lowest index).
+
+    A stack of logit matrices with a stack of label rows gives an array of
+    one fraction per run.
+    """
+    logits = as_matrix(logits, stack=True)
+    labels = as_labels(labels, logits.shape[-1], stack=True)
+    if labels.shape != logits.shape[:-1]:
         raise ConfigError("labels must match logit rows")
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    hits = np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
+    return float(hits) if hits.ndim == 0 else hits
 
 
 def write_histogram_csv(h: AngleHistograms, path) -> None:

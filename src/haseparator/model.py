@@ -4,6 +4,11 @@ The body is a stack of affine + rectifier layers; the final layer is affine
 with no nonlinearity and produces raw embeddings (normalization happens
 inside the loss). Classification weights are a separate N x C matrix with
 no bias, matching the cosine head.
+
+forward and backward also run a stack of K models at once: every parameter
+then carries a leading run axis (weights K x in x out, biases K x out,
+class weights K x N x C), and so do the inputs (K x B x D). Each run's
+products and sums are the ones its 2-d arrays would get.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ class MlpModel:
 
     @property
     def num_classes(self) -> int:
-        return self.class_weights.shape[1]
+        return self.class_weights.shape[-1]
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -80,16 +85,18 @@ def init_model(layer_dims, num_classes: int, seed) -> MlpModel:
 
 def forward(model: MlpModel, inputs) -> ForwardTrace:
     """Run the MLP body; the last layer is affine with no rectifier."""
-    x = as_matrix(inputs)
-    if x.shape[1] != model.layer_dims[0]:
+    x = as_matrix(inputs, stack=True)
+    if x.shape[-1] != model.layer_dims[0]:
         raise ShapeError(
-            f"inputs have {x.shape[1]} features, model expects {model.layer_dims[0]}"
+            f"inputs have {x.shape[-1]} features, model expects {model.layer_dims[0]}"
         )
+    if x.shape[:-2] != model.class_weights.shape[:-2]:
+        raise ShapeError(f"inputs of shape {x.shape} do not match the model's run stack")
     trace = ForwardTrace(inputs=x)
     activation = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = activation @ w + b
+        z = activation @ w + b[..., None, :]
         trace.pre_activations.append(z)
         activation = z if i == last else np.maximum(z, 0.0)
         trace.activations.append(activation)
@@ -104,7 +111,7 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings) -> ModelGrad
     embeddings (typically LossResult.grad_embeddings); the classification
     weights get their gradient directly from the loss, not from here.
     """
-    grad_embeddings = as_matrix(grad_embeddings)
+    grad_embeddings = as_matrix(grad_embeddings, stack=True)
     if trace.embeddings is None or grad_embeddings.shape != trace.embeddings.shape:
         raise ShapeError(
             f"upstream gradient shape {grad_embeddings.shape} does not match "
@@ -116,10 +123,12 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings) -> ModelGrad
     delta = grad_embeddings
     for i in range(n_layers - 1, -1, -1):
         layer_in = trace.inputs if i == 0 else trace.activations[i - 1]
-        grads_w[i] = layer_in.T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w[i] = np.swapaxes(layer_in, -1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (trace.pre_activations[i - 1] > 0)
+            delta = (delta @ np.swapaxes(model.weights[i], -1, -2)) * (
+                trace.pre_activations[i - 1] > 0
+            )
     return ModelGrads(weights=grads_w, biases=grads_b)
 
 

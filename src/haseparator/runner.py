@@ -4,14 +4,25 @@ A single experiment is fully described by an ExperimentConfig; its master
 seed feeds a SeedSequence that derives independent streams for dataset
 generation, weight init, batch shuffling, and pair sampling, so runs are
 reproducible end to end and two losses given the same seed see the same
-data. Sweeps cross losses x sigmas x margins x seeds, run cells in a
-deterministic grid order (optionally across processes), and never drop
-failed cells.
+data.
+
+Sweeps cross losses x sigmas x margins x seeds and never drop failed cells.
+A sweep trains each distinct ExperimentConfig once, so cells that differ
+only in a setting their loss ignores (softmax at two margins) share a run.
+The distinct runs of one loss kind share every array shape, so they train
+together as stacks: one trainer.train call whose arrays carry a leading run
+axis. A training step at (B, N, C) = (64, 16, 5) is almost all numpy's
+per-call cost, which a stack pays once for all of its runs. Each stack is
+split so that every one of the jobs worker processes has work, and each
+run's values are bitwise those run_experiment gives. A run that fails, in
+its config, data, training or evaluation, fails only its own rows, and rows
+come back in grid order.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import time
@@ -157,41 +168,55 @@ def evaluate_model(
     return hist, scores, embeddings
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
-    """Train one model and evaluate both splits; write artifacts when asked."""
+def _setup(config: ExperimentConfig, datasets: dict):
+    """A run's seeds, its (train, test) datasets and its initial model.
+
+    datasets caches the splits by data config and data seed, so runs that
+    share them share one feature array.
+    """
     seeds = derive_seeds(config.seed)
-    train_data, test_data = build_datasets(config.dataset, seeds["data"])
+    key = (config.dataset, seeds["data"])
+    if key not in datasets:
+        datasets[key] = build_datasets(config.dataset, seeds["data"])
+    train_data, test_data = datasets[key]
     layer_dims = (train_data.dim, *config.hidden_dims, config.embedding_dim)
     model = init_model(layer_dims, train_data.num_classes, seeds["init"])
-    report = train(model, train_data, config.train, seeds["train"])
+    return seeds, (train_data, test_data), model
 
+
+def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
+    """Train one model and evaluate both splits; write artifacts when asked."""
+    seeds, data, model = _setup(config, {})
+    report = train(model, data[0], config.train, seeds["train"])
+    result, embeddings = _evaluate(config, seeds, data, report)
+    if out_dir is not None:
+        write_experiment_artifacts(result, embeddings, out_dir)
+    return result
+
+
+def _evaluate(config: ExperimentConfig, seeds, data, report: TrainReport):
+    """Score a trained run on both splits: its result and its embeddings."""
     hists: dict[str, AngleHistograms] = {}
     scores: dict[str, DiscriminationScores] = {}
     embeddings: dict[str, np.ndarray] = {}
-    for split, dataset in (("train", train_data), ("test", test_data)):
-        hist, split_scores, emb = evaluate_model(
+    for split, dataset in zip(SPLITS, data):
+        hists[split], scores[split], embeddings[split] = evaluate_model(
             report.final_model,
             dataset,
             bins=config.bins,
             max_pairs=config.max_pairs,
             seed=seeds[f"eval_{split}"],
         )
-        hists[split] = hist
-        scores[split] = split_scores
-        embeddings[split] = emb
-
     result = ExperimentResult(
         config=config,
-        train_data=train_data,
-        test_data=test_data,
+        train_data=data[0],
+        test_data=data[1],
         model=report.final_model,
         report=report,
         hists=hists,
         scores=scores,
     )
-    if out_dir is not None:
-        write_experiment_artifacts(result, embeddings, out_dir)
-    return result
+    return result, embeddings
 
 
 def write_embeddings_csv(embeddings, labels, path) -> None:
@@ -237,7 +262,14 @@ def write_experiment_artifacts(result: ExperimentResult, embeddings, out_dir) ->
 
 @dataclass
 class SweepRecord:
-    """One grid cell's outcome; failed cells carry the error, never vanish."""
+    """One grid cell's outcome; failed cells carry the error, never vanish.
+
+    wall_time_s is the cell's share of the work: its stack's data, set-up
+    and training time split evenly over the stack's runs, plus its own
+    evaluation time, and split again evenly over the cells that repeat one
+    distinct run. A sweep's row times therefore sum to its workers' busy
+    time.
+    """
 
     loss_kind: str
     sigma: float
@@ -257,9 +289,9 @@ class SweepConfig:
 
     The margin axis feeds HASeparator's cosine margin and doubles as
     ArcFace's additive angle in radians (both live on comparable [0.1, 1.0]
-    grids); softmax ignores it but is still run per cell so rows stay
-    aligned for seed-wise comparisons. Duplicate grid values are dropped
-    with a warning.
+    grids); softmax ignores it, so its cells at different margins are one
+    run, trained once and reported in each of their rows. Duplicate grid
+    values are dropped with a warning.
     """
 
     losses: tuple[str, ...] = LOSS_KINDS
@@ -311,38 +343,99 @@ def _cell_config(template: ExperimentConfig, loss_kind, sigma, margin, seed) -> 
     return replace(template, train=replace(template.train, loss=loss), seed=seed)
 
 
-def _run_cell(args) -> SweepRecord:
-    loss_kind, sigma, margin, seed, template = args
-    record = SweepRecord(loss_kind=loss_kind, sigma=float(sigma), margin=float(margin), seed=int(seed))
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_stack(configs) -> list[tuple]:
+    """Train distinct runs of one loss kind as one stack, then score each.
+
+    Returns one (outcome, seconds) per config: outcome is the test accuracy,
+    d_kl and d_em and the final separator cost, or the error text of
+    whatever failed the run (data, set-up, training, divergence or
+    evaluation).
+    """
     start = time.perf_counter()
-    try:
-        config = _cell_config(template, loss_kind, sigma, margin, seed)
-        result = run_experiment(config)
-        test = result.scores["test"]
-        record.accuracy = test.accuracy
-        record.d_kl = test.d_kl
-        record.d_em = test.d_em
-        record.final_c_t = result.report.records[-1].c_sep if result.report.records else math.nan
-    except Exception as exc:
-        record.error = f"{type(exc).__name__}: {exc}"
-    record.wall_time_s = time.perf_counter() - start
-    return record
+    outcomes: list = [None] * len(configs)
+    datasets: dict = {}
+    runs = []
+    for i, config in enumerate(configs):
+        try:
+            runs.append((i, *_setup(config, datasets)))
+        except Exception as exc:
+            outcomes[i] = _error_text(exc)
+    reports: list = []
+    if runs:
+        ids, seeds, data, models = zip(*runs)
+        try:
+            reports = train(
+                list(models),
+                [splits[0] for splits in data],
+                [configs[i].train for i in ids],
+                [run_seeds["train"] for run_seeds in seeds],
+            )
+        except Exception as exc:
+            reports = [exc] * len(runs)
+    times = [(time.perf_counter() - start) / len(configs)] * len(configs)
+    for (i, seeds, data, _), report in zip(runs, reports):
+        if isinstance(report, Exception):
+            outcomes[i] = _error_text(report)
+            continue
+        start = time.perf_counter()
+        try:
+            test = _evaluate(configs[i], seeds, data, report)[0].scores["test"]
+            final_c_t = report.records[-1].c_sep if report.records else math.nan
+            outcomes[i] = (test.accuracy, test.d_kl, test.d_em, final_c_t)
+        except Exception as exc:
+            outcomes[i] = _error_text(exc)
+        times[i] += time.perf_counter() - start
+    return list(zip(outcomes, times))
 
 
 def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
     """Run every grid cell; results come back in grid order (losses outermost,
-    then sigmas, margins, seeds) regardless of scheduling."""
-    cells = [
-        (loss, sigma, margin, seed, sweep.experiment)
-        for loss in sweep.losses
-        for sigma in sweep.sigmas
-        for margin in sweep.margins
-        for seed in sweep.seeds
-    ]
+    then sigmas, margins, seeds) regardless of scheduling.
+
+    Each distinct ExperimentConfig is trained once, however many cells
+    share it. The distinct runs of each loss kind are trained as stacks,
+    split so that all jobs workers have work; a cell's row equals what
+    run_experiment gives for it, bit for bit.
+    """
+    records, rows = [], {}
+    grid = itertools.product(sweep.losses, sweep.sigmas, sweep.margins, sweep.seeds)
+    for loss, sigma, margin, seed in grid:
+        record = SweepRecord(loss, float(sigma), float(margin), int(seed))
+        records.append(record)
+        start = time.perf_counter()
+        try:
+            config = _cell_config(sweep.experiment, loss, sigma, margin, seed)
+        except Exception as exc:
+            record.error = _error_text(exc)
+            record.wall_time_s = time.perf_counter() - start
+            continue
+        rows.setdefault(config, []).append(record)
+
+    stacks = []
+    for kind in sweep.losses:
+        runs = [config for config in rows if config.train.loss.loss_kind == kind]
+        parts = min(sweep.jobs, len(runs))
+        stacks += [runs[p * len(runs) // parts : (p + 1) * len(runs) // parts]
+                   for p in range(parts)]
     if sweep.jobs == 1:
-        return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=sweep.jobs) as pool:
-        return list(pool.map(_run_cell, cells))
+        results = [_run_stack(stack) for stack in stacks]
+    else:
+        with ProcessPoolExecutor(max_workers=sweep.jobs) as pool:
+            results = list(pool.map(_run_stack, stacks))
+
+    for stack, outcomes in zip(stacks, results):
+        for config, (outcome, seconds) in zip(stack, outcomes):
+            for record in rows[config]:
+                record.wall_time_s = seconds / len(rows[config])
+                if isinstance(outcome, str):
+                    record.error = outcome
+                else:
+                    record.accuracy, record.d_kl, record.d_em, record.final_c_t = outcome
+    return records
 
 
 # sweep.csv column -> parser; SweepRecord has the same fields, loss as loss_kind

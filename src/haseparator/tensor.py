@@ -1,8 +1,10 @@
 """Float64 matrix validation and the one L2 normalization of the library.
 
-Matrices are 2-d float64 numpy arrays (row-major). as_matrix and as_labels
-validate input at public entry points; normalize and its backward trust
-their input. Every operation allocates a fresh output and is deterministic.
+Matrices are 2-d float64 numpy arrays (row-major). The training core also
+takes stacks of them: 3-d arrays whose leading axis indexes independent runs
+of one sweep. as_matrix and as_labels validate input at public entry points;
+normalize and its backward trust their input. Every operation allocates a
+fresh output and is deterministic.
 """
 
 from __future__ import annotations
@@ -17,20 +19,22 @@ from .errors import LabelError, ShapeError
 EPSILON = 1e-12
 
 
-def as_matrix(values) -> np.ndarray:
-    """Validate and convert to a 2-d float64 array with positive dimensions."""
+def as_matrix(values, stack: bool = False) -> np.ndarray:
+    """Validate and convert to a 2-d float64 array with positive dimensions;
+    with stack=True a 3-d stack of such matrices is accepted too."""
     m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
         raise ShapeError(f"expected a 2-d array, got shape {m.shape}")
-    if m.shape[0] == 0 or m.shape[1] == 0:
+    if 0 in m.shape:
         raise ShapeError(f"matrix dimensions must be positive, got {m.shape}")
     return m
 
 
-def as_labels(labels, num_classes: int) -> np.ndarray:
-    """Validate class labels against [0, num_classes)."""
+def as_labels(labels, num_classes: int, stack: bool = False) -> np.ndarray:
+    """Validate class labels against [0, num_classes); with stack=True a 2-d
+    stack of label rows is accepted too."""
     arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.size == 0:
+    if (arr.ndim != 1 and not (stack and arr.ndim == 2)) or arr.size == 0:
         raise LabelError(f"labels must be a non-empty 1-d sequence, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         cast = arr.astype(np.int64)
@@ -48,7 +52,7 @@ def as_labels(labels, num_classes: int) -> np.ndarray:
 
 
 def normalize(m: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row (axis=1) or column (axis=0) of m to unit Euclidean norm.
+    """Scale each row (axis=-1) or column (axis=-2) of m to unit Euclidean norm.
 
     Returns (unit, norms), with norms keeping the reduced axis. Vectors with
     norm <= EPSILON come back as zeros. m is not validated; callers pass a

@@ -1,22 +1,21 @@
 """SGD training loop with momentum, L2 weight decay, and step LR drops.
 
-Determinism contract: train() seeds one numpy Generator from its seed
+Determinism contract: train() seeds one numpy Generator from a run's seed
 argument and draws a full permutation of the training set from it at the
 start of every epoch; batches are consecutive slices of that permutation and
 the last partial batch is used. Runs with equal seeds are bitwise
-reproducible.
+reproducible, alone or in a stack of runs trained together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
-from .errors import ConfigError, DivergenceError, ShapeError
-from .losses import LossConfig, compute_loss
+from .errors import ConfigError, DivergenceError
+from .losses import LossConfig, LossStack, compute_loss
 from .metrics import accuracy
 from .model import MlpModel, backward, forward
 
@@ -74,20 +73,18 @@ class TrainReport:
     final_model: MlpModel
 
 
-def sgd_step(param, grad, velocity, lr, momentum, weight_decay):
-    """One momentum-SGD update with additive L2: v <- mu v + g + wd p, p <- p - lr v.
+def sgd_step(params, grads, velocities, lr, momentum, weight_decay) -> None:
+    """A step's momentum-SGD update with additive L2, in place:
+    v <- mu v + g + wd p, then p <- p - lr v.
 
-    Pure: returns fresh (param, velocity) arrays.
+    The arguments are equal-shape float64 buffers, each holding every
+    parameter of every run of a step; each entry's arithmetic is that of
+    the pure per-parameter update, so are its bits.
     """
-    param = np.asarray(param, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    velocity = np.asarray(velocity, dtype=np.float64)
-    if param.shape != grad.shape or param.shape != velocity.shape:
-        raise ShapeError(
-            f"param {param.shape}, grad {grad.shape}, velocity {velocity.shape} must match"
-        )
-    new_velocity = momentum * velocity + grad + weight_decay * param
-    return param - lr * new_velocity, new_velocity
+    velocities *= momentum
+    velocities += grads
+    velocities += weight_decay * params
+    params -= lr * velocities
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
@@ -103,72 +100,134 @@ def resolve_total_steps(config: TrainConfig, dataset_size: int) -> int:
     return config.epochs * batches_per_epoch
 
 
-def train(model: MlpModel, dataset: Dataset, config: TrainConfig, seed) -> TrainReport:
+def _unpack(buffer, layer_dims, shapes, pick) -> MlpModel:
+    """An MlpModel whose parameters are views of a runs x P buffer.
+
+    Each view keeps the run axis first; pick drops it for a single run.
+    """
+    views, end = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(pick(buffer[:, end : end + size].reshape(-1, *shape)))
+        end += size
+    n = len(layer_dims) - 1
+    return MlpModel(layer_dims, views[:n], views[n : 2 * n], views[-1])
+
+
+def train(model, dataset, config, seed):
     """Run SGD over minibatches shuffled from seed; the input model is not mutated.
 
     Raises DivergenceError at the first step whose loss is not finite.
+
+    A stack of K runs is trained at once when model, dataset, config and
+    seed are sequences of K: models of one shape, datasets of one size
+    (repeating a Dataset shares its feature array), and configs that differ
+    only in their loss settings, all of one loss kind. The stack's arrays
+    carry a leading run axis, and each run's bits equal those of its own
+    call. The result is a list of K entries: a run's TrainReport, or the
+    DivergenceError that took it out of the stack while the others went on.
     """
-    if len(dataset) == 0:
+    stacked = isinstance(model, (list, tuple))
+    models, datasets, configs, seeds = (
+        (list(model), list(dataset), list(config), list(seed)) if stacked
+        else ([model], [dataset], [config], [seed])
+    )
+    if not len(models) == len(datasets) == len(configs) == len(seeds) > 0:
+        raise ConfigError("a stack needs one model, dataset, config and seed per run")
+    first = configs[0]
+    if any(replace(c, loss=first.loss) != first for c in configs):
+        raise ConfigError("the runs of a stack may differ only in their loss settings")
+    size = len(datasets[0])
+    if size == 0:
         raise ConfigError("dataset is empty")
-    total_steps = resolve_total_steps(config, len(dataset))
-    if config.lr_drop_points and config.lr_drop_points[-1] >= total_steps > 0:
+    if any(len(d) != size for d in datasets) or len({
+        (m.layer_dims, m.class_weights.shape) for m in models
+    }) > 1:
+        raise ConfigError("the runs of a stack need equal dataset sizes and model shapes")
+    total_steps = resolve_total_steps(first, size)
+    if first.lr_drop_points and first.lr_drop_points[-1] >= total_steps > 0:
         raise ConfigError(
-            f"lr_drop_points {config.lr_drop_points} exceed the run of {total_steps} steps"
+            f"lr_drop_points {first.lr_drop_points} exceed the run of {total_steps} steps"
         )
-    model = model.copy()
-    rng = np.random.default_rng(seed)
-    params = model.weights + model.biases + [model.class_weights]
-    velocities = [np.zeros_like(p) for p in params]
-    records: list[StepRecord] = []
+    losses = [c.loss for c in configs]
+    loss = LossStack.of(losses) if stacked else first.loss
+    pick = (lambda a: a) if stacked else (lambda a: a[0])
 
-    step = 0
-    while step < total_steps:
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(dataset), config.batch_size):
-            if step >= total_steps:
+    distinct = {id(d): d for d in datasets}
+    which = np.array([list(distinct).index(id(d)) for d in datasets])
+    features = np.stack([d.features for d in distinct.values()])
+    labels = np.stack([d.labels for d in distinct.values()])
+
+    # Run-major flat buffers: row k holds every parameter of run k, so
+    # dropping a run drops a row, and the update is one in-place operation.
+    layer_dims = models[0].layer_dims
+    shapes = [p.shape for p in _parameters(models[0])]
+    params = np.stack([np.concatenate([p.ravel() for p in _parameters(m)]) for m in models])
+    velocities = np.zeros_like(params)
+    net = _unpack(params, layer_dims, shapes, pick)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    alive = list(range(len(models)))
+    records: list[list[StepRecord]] = [[] for _ in models]
+    outcomes: list = [None] * len(models)
+    batches = -(-size // first.batch_size)
+
+    for step in range(total_steps):
+        start = (step % batches) * first.batch_size
+        if start == 0:
+            orders = np.array([rng.permutation(size) for rng in rngs])
+        while alive:
+            idx = orders[:, start : start + first.batch_size]
+            batch_x = pick(features[which[:, None], idx])
+            batch_y = pick(labels[which[:, None], idx])
+            trace = forward(net, batch_x)
+            result = compute_loss(trace.embeddings, net.class_weights, batch_y, loss)
+            values = np.stack(
+                np.broadcast_arrays(result.total_loss, result.ce_loss, result.separator_loss),
+                axis=-1,
+            ).reshape(-1, 3)  # c_all, c_ce, c_sep of each run
+            finite = np.isfinite(values[:, 0])
+            if finite.all():
                 break
-            idx = order[start : start + config.batch_size]
-            batch_x = dataset.features[idx]
-            batch_y = dataset.labels[idx]
-
-            trace = forward(model, batch_x)
-            result = compute_loss(trace.embeddings, model.class_weights, batch_y, config.loss)
-            if not math.isfinite(result.total_loss):
-                raise DivergenceError(
-                    f"training diverged at step {step}: total loss {result.total_loss}, "
-                    f"cross-entropy {result.ce_loss}, separator {result.separator_loss}"
+            for k in np.flatnonzero(~finite):
+                c_all, c_ce, c_sep = values[k].tolist()
+                error = DivergenceError(
+                    f"training diverged at step {step}: total loss {c_all}, "
+                    f"cross-entropy {c_ce}, separator {c_sep}"
                 )
-            grads = backward(model, trace, result.grad_embeddings)
+                if not stacked:
+                    raise error
+                outcomes[alive[k]] = error
+            # The diverged runs leave the stack, and the step is redone
+            # without them.
+            alive = [run for run, ok in zip(alive, finite) if ok]
+            params, velocities = params[finite], velocities[finite]
+            which, orders = which[finite], orders[finite]
+            rngs = [rng for rng, ok in zip(rngs, finite) if ok]
+            loss = LossStack.of([losses[run] for run in alive]) if alive else loss
+            net = _unpack(params, layer_dims, shapes, pick)
+        if not alive:
+            break
+        grads = backward(net, trace, result.grad_embeddings)
+        lr = lr_at(step, first)
+        grad = np.concatenate(
+            [g.reshape(len(alive), -1)
+             for g in (*grads.weights, *grads.biases, result.grad_weights)],
+            axis=1,
+        )
+        sgd_step(params, grad, velocities, lr, first.momentum, first.weight_decay)
 
-            lr = lr_at(step, config)
-            n_layers = len(model.weights)
-            for i in range(n_layers):
-                model.weights[i], velocities[i] = sgd_step(
-                    model.weights[i], grads.weights[i], velocities[i],
-                    lr, config.momentum, config.weight_decay,
-                )
-                model.biases[i], velocities[n_layers + i] = sgd_step(
-                    model.biases[i], grads.biases[i], velocities[n_layers + i],
-                    lr, config.momentum, config.weight_decay,
-                )
-            model.class_weights, velocities[-1] = sgd_step(
-                model.class_weights, result.grad_weights, velocities[-1],
-                lr, config.momentum, config.weight_decay,
-            )
+        train_acc = np.reshape(accuracy(result.logits, batch_y), -1).tolist()
+        for run, run_losses, acc in zip(alive, values.tolist(), train_acc):
+            records[run].append(StepRecord(step, lr, *run_losses, acc))
 
-            records.append(
-                StepRecord(
-                    step=step,
-                    lr=lr,
-                    c_all=result.total_loss,
-                    c_ce=result.ce_loss,
-                    c_sep=result.separator_loss,
-                    train_acc=accuracy(result.logits, batch_y),
-                )
-            )
-            step += 1
+    for k, run in enumerate(alive):
+        final = _unpack(params[k : k + 1].copy(), layer_dims, shapes, lambda a: a[0])
+        outcomes[run] = TrainReport(records=records[run], final_model=final)
+    return outcomes if stacked else outcomes[0]
 
-    return TrainReport(records=records, final_model=model)
+
+def _parameters(model: MlpModel) -> list[np.ndarray]:
+    return [*model.weights, *model.biases, model.class_weights]
 
 
 def write_report_csv(report: TrainReport, path) -> None:

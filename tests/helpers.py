@@ -208,6 +208,20 @@ def dense_haseparator_loss(e, w, labels, config) -> LossResult:
     )
 
 
+def sgd_step(param, grad, velocity, lr, momentum, weight_decay):
+    """Reference momentum-SGD update with additive L2 on one parameter:
+    v <- mu v + g + wd p, p <- p - lr v. Pure: returns fresh (param, velocity)."""
+    param = np.asarray(param, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    velocity = np.asarray(velocity, dtype=np.float64)
+    if param.shape != grad.shape or param.shape != velocity.shape:
+        raise ShapeError(
+            f"param {param.shape}, grad {grad.shape}, velocity {velocity.shape} must match"
+        )
+    new_velocity = momentum * velocity + grad + weight_decay * param
+    return param - lr * new_velocity, new_velocity
+
+
 def transport_cost(p, q, locations) -> float:
     """Minimum-cost transport between two 1-d distributions, solved as an LP.
 

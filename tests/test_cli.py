@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from haseparator import runner
 from haseparator.cli import _config, build_parser, main, parse_config_file
 from haseparator.data import Dataset, save_delimited
 from haseparator.errors import ConfigError, DataFormatError
@@ -228,6 +229,25 @@ class TestSweep:
             row_b.pop("wall_time_s")
             assert row_a == row_b
 
+    def test_softmax_margins_train_once_per_seed(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        train = runner.train
+        monkeypatch.setattr(runner, "train", lambda m, *a: trained.extend(m) or train(m, *a))
+        out = tmp_path / "sweep"
+        code, _, _ = run_cli(
+            ["sweep", *TINY, "--loss", "softmax", "--margin", "0.2,0.5,0.8",
+             "--num-seeds", "2", "--jobs", "1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert len(trained) == 2
+        records = read_sweep_csv(out / "sweep.csv")
+        assert [(r.margin, r.seed) for r in records] == [
+            (m, s) for m in (0.2, 0.5, 0.8) for s in (0, 1)
+        ]
+        for r in records:
+            assert (r.d_em, r.accuracy) == (records[r.seed].d_em, records[r.seed].accuracy)
+
     def test_failed_cells_reported_on_stderr(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["sweep", *TINY, "--loss", "haseparator", "--margin", "0.5,1.5",
@@ -277,6 +297,29 @@ class TestReplay:
         assert names == sorted(p.name for p in replay.iterdir())
         for name in names:
             assert (replay / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_eval_replays_train_evaluation(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        write_points(points, rows=60, classes=3)
+        run, replay = tmp_path / "run", tmp_path / "replay"
+        code, _, _ = run_cli(
+            ["train", "--dataset", f"file:{points}", "--hidden-dims", "8",
+             "--embedding-dim", "4", "--steps", "20", "--batch-size", "16",
+             "--loss", "haseparator", "--max-pairs", "500", "--bins", "30",
+             "--seed", "4", "--out", str(run)],
+            capsys,
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            ["eval", "--config", str(run / "config.txt"),
+             "--checkpoint", str(run / "checkpoint.txt"), "--out", str(replay)],
+            capsys,
+        )
+        assert code == 0
+        for split in ("train", "test"):
+            for name in (f"scores_{split}.json", f"hist_{split}.csv",
+                         f"embeddings_{split}.csv"):
+                assert (replay / name).read_bytes() == (run / name).read_bytes(), name
 
     def test_sweep_replays_its_rows(self, tmp_path, capsys):
         sweep, replay = tmp_path / "sweep", tmp_path / "replay"

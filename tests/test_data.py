@@ -184,6 +184,26 @@ class TestLoadDelimited:
         with pytest.raises(NonNumericCellError):
             load_delimited(path)
 
+    def test_whitespace_padded_cells_parse_to_the_same_bits(self, tmp_path):
+        rng = np.random.default_rng(11)
+        original = Dataset(rng.normal(size=(9, 3)), rng.integers(0, 3, size=9), 3, "train")
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        save_delimited(original, plain)
+        padded.write_text("".join(
+            ",".join(f" \t{cell} " for cell in line.split(",")) + "\n"
+            for line in plain.read_text().splitlines()
+        ))
+        a = load_delimited(plain, standardize_features=False)
+        b = load_delimited(padded, standardize_features=False)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tolist() == b.labels.tolist()
+
+    def test_non_numeric_cell_names_path_and_row(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("1,2,0\n 3 , oops ,1\n")
+        with pytest.raises(NonNumericCellError, match=re.escape(f"{path}: row 2: ")):
+            load_delimited(path)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_names_the_row(self, tmp_path, cell):
         path = tmp_path / "nonfinite.csv"

@@ -1,19 +1,23 @@
 import math
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from haseparator import runner
 from haseparator.data import Dataset, save_delimited
 from haseparator.errors import ConfigError
-from haseparator.losses import LossConfig
+from haseparator.losses import LOSS_KINDS, LossConfig
 from haseparator.runner import (
     DatasetConfig,
     ExperimentConfig,
     SweepConfig,
     build_datasets,
+    _cell_config,
     default_seeds,
+    derive_seeds,
     read_sweep_csv,
     run_experiment,
     run_sweep,
@@ -248,6 +252,107 @@ class TestSweep:
         write_sweep_csv(records, path)
         loaded = read_sweep_csv(path)
         assert loaded == records
+
+
+def cell_row(template, loss, sigma, margin, seed):
+    """What a sweep row should hold for one cell, from run_experiment."""
+    try:
+        result = run_experiment(_cell_config(template, loss, sigma, margin, seed))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    test = result.scores["test"]
+    return (test.accuracy.hex(), test.d_kl.hex(), test.d_em.hex(),
+            result.report.records[-1].c_sep.hex())
+
+
+def sweep_row(record):
+    if record.error:
+        return record.error
+    return (record.accuracy.hex(), record.d_kl.hex(), record.d_em.hex(),
+            record.final_c_t.hex())
+
+
+class TestSweepStacks:
+    """Cells of one loss kind train as one stacked model; every row must
+    equal what run_experiment gives for its cell, bit for bit."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_equal_run_experiment(self, jobs):
+        sweep = SweepConfig(losses=LOSS_KINDS, sigmas=(2.0, 4.0), margins=(0.3, 0.8),
+                            seeds=(0, 1), experiment=tiny_experiment(), jobs=jobs)
+        records = run_sweep(sweep)
+        assert len(records) == 24
+        for r in records:
+            assert r.error == ""
+            assert sweep_row(r) == cell_row(sweep.experiment, r.loss_kind, r.sigma,
+                                            r.margin, r.seed)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_cells_leave_the_other_rows_unchanged(self):
+        # margin 1.5 is rejected before training; sigma 1e200 diverges
+        # inside the stack.
+        sweep = SweepConfig(losses=("haseparator", "arcface"), sigmas=(3.0, 1e200),
+                            margins=(0.5, 1.5), seeds=(0, 1), experiment=tiny_experiment())
+        records = run_sweep(sweep)
+        rejected = [r for r in records if r.loss_kind == "haseparator" and r.margin == 1.5]
+        diverged = [r for r in records if r.sigma == 1e200 and r not in rejected]
+        assert rejected and all(r.error.startswith("ConfigError: margin") for r in rejected)
+        assert diverged and all(
+            r.error.startswith("DivergenceError: training diverged at step") for r in diverged
+        )
+        for r in records:
+            assert sweep_row(r) == cell_row(sweep.experiment, r.loss_kind, r.sigma,
+                                            r.margin, r.seed)
+        assert sum(r.error == "" for r in records) == 6
+
+    def test_evaluation_error_fails_only_its_row(self, monkeypatch):
+        failing_seed = derive_seeds(1)["eval_test"]
+        evaluate = runner.evaluate_model
+
+        def flaky(model, dataset, bins, max_pairs, seed):
+            if seed == failing_seed:
+                raise ConfigError("evaluation failed")
+            return evaluate(model, dataset, bins=bins, max_pairs=max_pairs, seed=seed)
+
+        sweep = SweepConfig(losses=("haseparator",), margins=(0.4, 0.8), seeds=(0, 1),
+                            experiment=tiny_experiment())
+        expected = run_sweep(sweep)
+        monkeypatch.setattr(runner, "evaluate_model", flaky)
+        records = run_sweep(sweep)
+        for got, want in zip(records, expected, strict=True):
+            if got.seed == 1:
+                assert got.error == "ConfigError: evaluation failed"
+                assert math.isnan(got.d_em)
+            else:
+                assert sweep_row(got) == sweep_row(want)
+
+    def test_row_times_sum_within_busy_time(self):
+        sweep = SweepConfig(losses=LOSS_KINDS, margins=(0.4, 0.8), seeds=(0, 1, 2),
+                            experiment=tiny_experiment(), jobs=2)
+        start = time.perf_counter()
+        records = run_sweep(sweep)
+        elapsed = time.perf_counter() - start
+        assert all(r.wall_time_s > 0 for r in records)
+        assert sum(r.wall_time_s for r in records) <= sweep.jobs * elapsed
+
+    def test_distinct_runs_train_once_and_share_datasets(self, monkeypatch):
+        trained, built = [], []
+        train, build = runner.train, runner.build_datasets
+        monkeypatch.setattr(runner, "train", lambda m, *a: trained.extend(m) or train(m, *a))
+        monkeypatch.setattr(runner, "build_datasets",
+                            lambda *a: built.append(a) or build(*a))
+        sweep = SweepConfig(losses=("softmax", "haseparator"), margins=(0.2, 0.5, 0.8),
+                            seeds=(0, 1), experiment=tiny_experiment())
+        records = run_sweep(sweep)
+        # 2 softmax runs (one per seed) and 6 haseparator runs; each loss
+        # kind's stack builds one dataset per seed.
+        assert len(trained) == 8
+        assert len(built) == 4
+        softmax = [r for r in records if r.loss_kind == "softmax"]
+        assert len(softmax) == 6
+        for r in softmax:
+            twin = next(t for t in softmax if t.seed == r.seed)
+            assert sweep_row(r) == sweep_row(twin)
 
 
 class TestDefaultSeeds:

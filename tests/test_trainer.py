@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from haseparator.data import gaussian_blobs
+from haseparator import trainer
 from haseparator.errors import ConfigError, DivergenceError, ShapeError
 from haseparator.losses import LossConfig, compute_loss, scaled_cosine_logits
 from haseparator.metrics import accuracy
@@ -15,10 +16,11 @@ from haseparator.trainer import (
     TrainConfig,
     lr_at,
     resolve_total_steps,
-    sgd_step,
     train,
     write_report_csv,
 )
+
+from helpers import sgd_step
 
 
 def softmax_config(**kw):
@@ -95,6 +97,112 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.0, 0.0)
+
+
+def reference_train(model, data, config, seed):
+    """train() written out per parameter with the pure reference update."""
+    model = model.copy()
+    params = [*model.weights, *model.biases, model.class_weights]
+    velocities = [np.zeros_like(p) for p in params]
+    n = len(model.weights)
+    rng = np.random.default_rng(seed)
+    step, records = 0, []
+    while step < config.steps:
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), config.batch_size):
+            if step == config.steps:
+                break
+            idx = order[start : start + config.batch_size]
+            trace = forward(model, data.features[idx])
+            result = compute_loss(trace.embeddings, model.class_weights, data.labels[idx],
+                                  config.loss)
+            grads = backward(model, trace, result.grad_embeddings)
+            lr = lr_at(step, config)
+            for i, g in enumerate((*grads.weights, *grads.biases, result.grad_weights)):
+                params[i], velocities[i] = sgd_step(
+                    params[i], g, velocities[i], lr, config.momentum, config.weight_decay
+                )
+            model.weights, model.biases = params[:n], params[n : 2 * n]
+            model.class_weights = params[-1]
+            records.append((result.total_loss, result.ce_loss, result.separator_loss))
+            step += 1
+    return model, records
+
+
+def parameter_bytes(model) -> list[bytes]:
+    return [p.tobytes() for p in (*model.weights, *model.biases, model.class_weights)]
+
+
+class TestInPlaceUpdate:
+    """trainer.sgd_step, the one in-place update of a step, against the pure
+    per-parameter reference in tests/helpers.py."""
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_buffer_update_matches_reference_bitwise(self, runs):
+        rng = np.random.default_rng(20)
+        shapes = [(4, 3), (3,), (3, 5)]
+        params = [[rng.normal(size=s) for s in shapes] for _ in range(runs)]
+        velocities = [[np.zeros(s) for s in shapes] for _ in range(runs)]
+        flat = np.stack([np.concatenate([p.ravel() for p in run]) for run in params])
+        flat_velocities = np.zeros_like(flat)
+        cfg = softmax_config(steps=30, lr_drop_points=(10, 20), momentum=0.9,
+                             weight_decay=1e-3)
+        for step in range(30):
+            grads = [[rng.normal(size=s) for s in shapes] for _ in range(runs)]
+            lr = lr_at(step, cfg)
+            trainer.sgd_step(
+                flat, np.stack([np.concatenate([g.ravel() for g in run]) for run in grads]),
+                flat_velocities, lr, cfg.momentum, cfg.weight_decay,
+            )
+            for k in range(runs):
+                for i in range(len(shapes)):
+                    params[k][i], velocities[k][i] = sgd_step(
+                        params[k][i], grads[k][i], velocities[k][i], lr, cfg.momentum,
+                        cfg.weight_decay,
+                    )
+        for k in range(runs):
+            assert flat[k].tobytes() == np.concatenate([p.ravel() for p in params[k]]).tobytes()
+            assert flat_velocities[k].tobytes() == np.concatenate(
+                [v.ravel() for v in velocities[k]]).tobytes()
+
+    def test_single_run_matches_reference_loop(self):
+        data = blob_train_set(per_class=20)
+        model = init_model((data.dim, 8, 4), data.num_classes, seed=21)
+        cfg = TrainConfig(steps=24, batch_size=16, lr_drop_points=(8, 16), momentum=0.9,
+                          weight_decay=1e-3, loss=LossConfig(loss_kind="haseparator"))
+        report = train(model, data, cfg, seed=22)
+        expected, losses = reference_train(model, data, cfg, seed=22)
+        assert parameter_bytes(report.final_model) == parameter_bytes(expected)
+        assert [(r.c_all, r.c_ce, r.c_sep) for r in report.records] == losses
+
+    @pytest.mark.parametrize("kind", ["softmax", "haseparator", "arcface"])
+    def test_stack_matches_reference_loop_per_run(self, kind):
+        datasets = [blob_train_set(seed=s, per_class=20) for s in (0, 1)]
+        grid = [(2.0, 0.5), (4.0, 0.9), (3.0, 0.0), (2.0, 0.2)]
+        configs = [
+            TrainConfig(steps=24, batch_size=16, lr_drop_points=(8, 16), momentum=0.9,
+                        weight_decay=1e-3,
+                        loss=LossConfig(loss_kind=kind, sigma=sigma, margin=max(m, 0.1),
+                                        arc_margin=m))
+            for sigma, m in grid
+        ]
+        data = [datasets[k % 2] for k in range(4)]
+        models = [init_model((d.dim, 8, 4), d.num_classes, seed=30 + k)
+                  for k, d in enumerate(data)]
+        seeds = [40, 41, 42, 43]
+        reports = train(models, data, configs, seeds)
+        for k in range(4):
+            expected, losses = reference_train(models[k], data[k], configs[k], seeds[k])
+            assert parameter_bytes(reports[k].final_model) == parameter_bytes(expected)
+            assert [(r.c_all, r.c_ce, r.c_sep) for r in reports[k].records] == losses
+
+    def test_stack_of_mixed_loss_kinds_rejected(self):
+        data = blob_train_set()
+        models = [init_model((data.dim, 8, 4), data.num_classes, seed=s) for s in (1, 2)]
+        configs = [softmax_config(steps=5),
+                   TrainConfig(steps=5, loss=LossConfig(loss_kind="haseparator"))]
+        with pytest.raises(ConfigError):
+            train(models, [data, data], configs, [1, 2])
 
 
 class TestLrSchedule:
