@@ -43,7 +43,8 @@ _COS_CLAMP = 1e-12
 # difference instead of the Gram matrix. The Gram form carries about 1e-15
 # of absolute rounding error, which would leave duplicate columns at
 # d ~ 3e-8 instead of 0 and cost near-duplicates more than 1e-13 of
-# relative accuracy in d.
+# relative accuracy in d. The separator's projections and weight gradient
+# use the same differences for these pairs.
 _GRAM_RECHECK = 1e-2
 
 
@@ -207,12 +208,16 @@ def _prepare(e, w, labels):
     return e, w, labels
 
 
-def _inverse_normal_lengths(w_hat) -> np.ndarray:
+def _normal_lengths(w_hat):
     """1 / |w_hat[:, t] - w_hat[:, j]| for every class pair (t, j); 0 where degenerate.
 
     The squared lengths come from the Gram identity G_tt + G_jj - 2 G_tj.
     Entries below _GRAM_RECHECK (always the diagonal) are recomputed from the
     column difference, so zero and collinear columns give exactly 0.
+
+    Returns (inv_lengths, near, near_diff): near indexes the off-diagonal
+    pairs that were recomputed and near_diff[:, k] = w_hat_t - w_hat_j for
+    the k-th of them.
     """
     gram = np.swapaxes(w_hat, -1, -2) @ w_hat
     sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
@@ -224,10 +229,13 @@ def _inverse_normal_lengths(w_hat) -> np.ndarray:
     diff = columns[(slice(None), *pairs[:-1])] - columns[(slice(None), *pairs[:-2], pairs[-1])]
     sq[pairs] = np.sum(diff * diff, axis=0)
     lengths = np.sqrt(sq)
-    return np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > EPSILON)
+    inv_lengths = np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > EPSILON)
+    off_diagonal = pairs[-2] != pairs[-1]
+    near = tuple(index[off_diagonal] for index in pairs)
+    return inv_lengths, near, diff[:, off_diagonal]
 
 
-def _separator(cosines, w_hat, labels, margin):
+def _separator(e_hat, cosines, w_hat, labels, margin):
     """The hyperplane hinge term, in closed form.
 
     The normal of pair (t, j) is (w_hat_t - w_hat_j) / d_tj, so the
@@ -238,21 +246,37 @@ def _separator(cosines, w_hat, labels, margin):
     of zero or collinear class columns) give a projection of exactly 0, a
     constant hinge cost and no gradient.
 
-    Returns (projections, loss, grad_cos, S): grad_cos is the B x C gradient
-    of the loss with respect to the cosines, and S_tj = dL/dG_tj summed over
-    the samples of target class t.
+    Near pairs (d_tj^2 < _GRAM_RECHECK) take their projections and their
+    pull-back from the explicit column differences instead: there
+    cos_it - cos_ij cancels to about d_tj, its rounding reaches the weight
+    gradient through S_tj ~ 1 / d_tj^2, and the Gram pull-back cancels
+    terms about 1 / d_tj larger than their sum.
+
+    Returns (projections, loss, grad_cos, grad_w_hat): grad_cos is the B x C
+    gradient of the loss with respect to the cosines, and grad_w_hat the
+    gradient through the normal lengths, with respect to w_hat.
     """
     batch, num_classes = cosines.shape[-2:]
     if num_classes < 2:
         raise ConfigError("separator loss needs at least 2 classes")
     target = _target_index(labels)
-    inv_lengths = _inverse_normal_lengths(w_hat)[(*target[:-2], labels)]  # B x C
+    inv_all, near, near_diff = _normal_lengths(w_hat)
+    inv_lengths = inv_all[(*target[:-2], labels)]  # B x C
+    projections = (cosines[target][..., None] - cosines) * inv_lengths
+    if near[0].size:
+        # Each sample's entries whose pair (target, j) is near, with the
+        # index of that pair's difference column.
+        pair_of = np.full(inv_all.shape, -1)
+        pair_of[near] = np.arange(near[0].size)
+        sample_pairs = pair_of[(*target[:-2], labels)]
+        hits = np.nonzero(sample_pairs >= 0)
+        rows = np.moveaxis(e_hat, -1, 0)[(slice(None), *hits[:-1])]
+        projections[hits] = (
+            np.sum(rows * near_diff[:, sample_pairs[hits]], axis=0) * inv_lengths[hits]
+        )
     # Projections onto unit normals lie in [-1, 1]. The clip only removes
-    # the rounding of cos_it - cos_ij, which 1 / d amplifies for nearly
-    # collinear columns.
-    projections = np.clip(
-        (cosines[target][..., None] - cosines) * inv_lengths, -1.0, 1.0
-    )
+    # rounding, which 1 / d amplifies for nearly collinear columns.
+    projections = np.clip(projections, -1.0, 1.0)
     _, loss = _hinge(projections, margin, labels)
 
     # Hinge subgradient -1/B on active non-target entries, 0 elsewhere
@@ -265,8 +289,9 @@ def _separator(cosines, w_hat, labels, margin):
     grad_cos = -slope
     grad_cos[target] += slope.sum(axis=-1)
 
-    # Through d_tj, G_tt and G_jj each take -S_tj / 2. A stack's runs get
-    # disjoint bins, so each run's sums are its own.
+    # Through d_tj, G_tt and G_jj each take -S_tj / 2, with S_tj = dL/dG_tj
+    # summed over the samples of target class t. A stack's runs get disjoint
+    # bins, so each run's sums are its own.
     runs = cosines.shape[:-2]
     groups = labels + num_classes * np.arange(math.prod(runs)).reshape(*runs, 1)
     gram_grad = np.bincount(
@@ -274,7 +299,22 @@ def _separator(cosines, w_hat, labels, margin):
         weights=(slope * projections * inv_lengths).ravel(),
         minlength=math.prod(runs) * num_classes * num_classes,
     ).reshape(*runs, num_classes, num_classes)
-    return projections, loss, grad_cos, gram_grad
+
+    # Pulled back through G = w_hat^T w_hat, S moves column c by
+    # sum_k (w_hat_k - w_hat_c) A_kc with A = S + S^T, which is
+    # w_hat A - w_hat diag(colsum A) for the pairs that are not near.
+    pull = gram_grad + np.swapaxes(gram_grad, -1, -2)
+    near_pull = pull[near]
+    pull[near] = 0.0
+    grad_w_hat = w_hat @ pull - w_hat * pull.sum(axis=-2)[..., None, :]
+    if near[0].size:
+        # One addition per near pair, in pair order, within each run.
+        np.add.at(
+            np.moveaxis(grad_w_hat, -2, 0),
+            (slice(None), *near[:-2], near[-1]),
+            near_diff * near_pull,
+        )
+    return projections, loss, grad_cos, grad_w_hat
 
 
 def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
@@ -320,18 +360,15 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
         grad_cos[target] = np.where(shifted, grad_target * slope, sigma * grad_target)[..., 0]
     total_loss, separator_loss, projections = ce_loss, 0.0, None
     if margin is not None:
-        projections, separator_loss, sep_grad_cos, gram_grad = _separator(
-            cosines, w_hat, labels, margin
+        projections, separator_loss, sep_grad_cos, sep_grad_w_hat = _separator(
+            e_hat, cosines, w_hat, labels, margin
         )
         total_loss = ce_loss + separator_loss
         grad_cos += sep_grad_cos
 
     grad_w_hat = np.swapaxes(e_hat, -1, -2) @ grad_cos
     if margin is not None:
-        # Pulled back through G = w_hat^T w_hat, S adds
-        # w_hat (S + S^T - diag(colsum S + rowsum S)).
-        grad_w_hat += w_hat @ (gram_grad + np.swapaxes(gram_grad, -1, -2))
-        grad_w_hat -= w_hat * (gram_grad.sum(axis=-2) + gram_grad.sum(axis=-1))[..., None, :]
+        grad_w_hat += sep_grad_w_hat
 
     return LossResult(
         total_loss=total_loss,
