@@ -208,16 +208,16 @@ def _prepare(e, w, labels):
     return e, w, labels
 
 
-def _normal_lengths(w_hat):
+def _inverse_normal_lengths(w_hat):
     """1 / |w_hat[:, t] - w_hat[:, j]| for every class pair (t, j); 0 where degenerate.
 
     The squared lengths come from the Gram identity G_tt + G_jj - 2 G_tj.
     Entries below _GRAM_RECHECK (always the diagonal) are recomputed from the
     column difference, so zero and collinear columns give exactly 0.
 
-    Returns (inv_lengths, near, near_diff): near indexes the off-diagonal
-    pairs that were recomputed and near_diff[:, k] = w_hat_t - w_hat_j for
-    the k-th of them.
+    Returns (inv_lengths, near): near is None when no off-diagonal pair was
+    recomputed, else (pairs, diff), where pairs indexes those pairs and
+    diff[:, k] = w_hat_t - w_hat_j for the k-th of them.
     """
     gram = np.swapaxes(w_hat, -1, -2) @ w_hat
     sq_norms = np.diagonal(gram, axis1=-2, axis2=-1)
@@ -230,9 +230,11 @@ def _normal_lengths(w_hat):
     sq[pairs] = np.sum(diff * diff, axis=0)
     lengths = np.sqrt(sq)
     inv_lengths = np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > EPSILON)
+    # More entries than the diagonal's means some off-diagonal pair is near.
+    if pairs[-1].size <= sq.size // sq.shape[-1]:
+        return inv_lengths, None
     off_diagonal = pairs[-2] != pairs[-1]
-    near = tuple(index[off_diagonal] for index in pairs)
-    return inv_lengths, near, diff[:, off_diagonal]
+    return inv_lengths, (tuple(index[off_diagonal] for index in pairs), diff[:, off_diagonal])
 
 
 def _separator(e_hat, cosines, w_hat, labels, margin):
@@ -246,34 +248,32 @@ def _separator(e_hat, cosines, w_hat, labels, margin):
     of zero or collinear class columns) give a projection of exactly 0, a
     constant hinge cost and no gradient.
 
-    Near pairs (d_tj^2 < _GRAM_RECHECK) take their projections and their
-    pull-back from the explicit column differences instead: there
-    cos_it - cos_ij cancels to about d_tj, its rounding reaches the weight
-    gradient through S_tj ~ 1 / d_tj^2, and the Gram pull-back cancels
-    terms about 1 / d_tj larger than their sum.
+    Near pairs (d_tj^2 < _GRAM_RECHECK) take their projections from the
+    explicit column differences instead: there cos_it - cos_ij cancels to
+    about d_tj, and its rounding reaches the weight gradient through
+    S_tj ~ 1 / d_tj^2.
 
-    Returns (projections, loss, grad_cos, grad_w_hat): grad_cos is the B x C
-    gradient of the loss with respect to the cosines, and grad_w_hat the
-    gradient through the normal lengths, with respect to w_hat.
+    Returns (projections, loss, grad_cos, S, near): grad_cos is the B x C
+    gradient of the loss with respect to the cosines, S_tj = dL/dG_tj summed
+    over the samples of target class t, and near is _inverse_normal_lengths'.
     """
     batch, num_classes = cosines.shape[-2:]
     if num_classes < 2:
         raise ConfigError("separator loss needs at least 2 classes")
     target = _target_index(labels)
-    inv_all, near, near_diff = _normal_lengths(w_hat)
+    inv_all, near = _inverse_normal_lengths(w_hat)
     inv_lengths = inv_all[(*target[:-2], labels)]  # B x C
     projections = (cosines[target][..., None] - cosines) * inv_lengths
-    if near[0].size:
+    if near is not None:
         # Each sample's entries whose pair (target, j) is near, with the
         # index of that pair's difference column.
+        pairs, diff = near
         pair_of = np.full(inv_all.shape, -1)
-        pair_of[near] = np.arange(near[0].size)
+        pair_of[pairs] = np.arange(pairs[0].size)
         sample_pairs = pair_of[(*target[:-2], labels)]
         hits = np.nonzero(sample_pairs >= 0)
         rows = np.moveaxis(e_hat, -1, 0)[(slice(None), *hits[:-1])]
-        projections[hits] = (
-            np.sum(rows * near_diff[:, sample_pairs[hits]], axis=0) * inv_lengths[hits]
-        )
+        projections[hits] = np.sum(rows * diff[:, sample_pairs[hits]], axis=0) * inv_lengths[hits]
     # Projections onto unit normals lie in [-1, 1]. The clip only removes
     # rounding, which 1 / d amplifies for nearly collinear columns.
     projections = np.clip(projections, -1.0, 1.0)
@@ -289,9 +289,8 @@ def _separator(e_hat, cosines, w_hat, labels, margin):
     grad_cos = -slope
     grad_cos[target] += slope.sum(axis=-1)
 
-    # Through d_tj, G_tt and G_jj each take -S_tj / 2, with S_tj = dL/dG_tj
-    # summed over the samples of target class t. A stack's runs get disjoint
-    # bins, so each run's sums are its own.
+    # Through d_tj, G_tt and G_jj each take -S_tj / 2. A stack's runs get
+    # disjoint bins, so each run's sums are its own.
     runs = cosines.shape[:-2]
     groups = labels + num_classes * np.arange(math.prod(runs)).reshape(*runs, 1)
     gram_grad = np.bincount(
@@ -299,22 +298,33 @@ def _separator(e_hat, cosines, w_hat, labels, margin):
         weights=(slope * projections * inv_lengths).ravel(),
         minlength=math.prod(runs) * num_classes * num_classes,
     ).reshape(*runs, num_classes, num_classes)
+    return projections, loss, grad_cos, gram_grad, near
 
-    # Pulled back through G = w_hat^T w_hat, S moves column c by
-    # sum_k (w_hat_k - w_hat_c) A_kc with A = S + S^T, which is
-    # w_hat A - w_hat diag(colsum A) for the pairs that are not near.
+
+def _near_pull_back(base, w_hat, gram_grad, near):
+    """base plus the pull-back of S through G, for the runs with a near pair.
+
+    S moves column c by sum_k (w_hat_k - w_hat_c) A_kc with A = S + S^T,
+    which is w_hat A - w_hat diag(colsum A). For a near pair (k, c) those
+    two terms are about 1 / d_kc larger than their difference, so near
+    pairs add diff * A_kc instead.
+
+    Returns (runs, grad): runs indexes the runs concerned (Ellipsis for a
+    single run) and grad is their gradient with respect to w_hat.
+    """
+    pairs, diff = near
+    runs = Ellipsis
+    if base.ndim > 2:
+        runs, first = np.unique(pairs[0], return_inverse=True)
+        pairs = (first, *pairs[1:])
+        base, w_hat, gram_grad = base[runs], w_hat[runs], gram_grad[runs]
     pull = gram_grad + np.swapaxes(gram_grad, -1, -2)
-    near_pull = pull[near]
-    pull[near] = 0.0
-    grad_w_hat = w_hat @ pull - w_hat * pull.sum(axis=-2)[..., None, :]
-    if near[0].size:
-        # One addition per near pair, in pair order, within each run.
-        np.add.at(
-            np.moveaxis(grad_w_hat, -2, 0),
-            (slice(None), *near[:-2], near[-1]),
-            near_diff * near_pull,
-        )
-    return projections, loss, grad_cos, grad_w_hat
+    near_pull = pull[pairs]
+    pull[pairs] = 0.0
+    grad = w_hat @ pull - w_hat * pull.sum(axis=-2)[..., None, :]
+    # One addition per near pair, in pair order, within each run.
+    np.add.at(np.moveaxis(grad, -2, 0), (slice(None), *pairs[:-2], pairs[-1]), diff * near_pull)
+    return runs, base + grad
 
 
 def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
@@ -360,7 +370,7 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
         grad_cos[target] = np.where(shifted, grad_target * slope, sigma * grad_target)[..., 0]
     total_loss, separator_loss, projections = ce_loss, 0.0, None
     if margin is not None:
-        projections, separator_loss, sep_grad_cos, sep_grad_w_hat = _separator(
+        projections, separator_loss, sep_grad_cos, gram_grad, near = _separator(
             e_hat, cosines, w_hat, labels, margin
         )
         total_loss = ce_loss + separator_loss
@@ -368,7 +378,14 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
 
     grad_w_hat = np.swapaxes(e_hat, -1, -2) @ grad_cos
     if margin is not None:
-        grad_w_hat += sep_grad_w_hat
+        if near is not None:
+            near_runs, near_grad = _near_pull_back(grad_w_hat, w_hat, gram_grad, near)
+        # Pulled back through G = w_hat^T w_hat, S adds
+        # w_hat (S + S^T - diag(colsum S + rowsum S)).
+        grad_w_hat += w_hat @ (gram_grad + np.swapaxes(gram_grad, -1, -2))
+        grad_w_hat -= w_hat * (gram_grad.sum(axis=-2) + gram_grad.sum(axis=-1))[..., None, :]
+        if near is not None:
+            grad_w_hat[near_runs] = near_grad
 
     return LossResult(
         total_loss=total_loss,

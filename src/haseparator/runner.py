@@ -15,8 +15,10 @@ axis. A training step at (B, N, C) = (64, 16, 5) is almost all numpy's
 per-call cost, which a stack pays once for all of its runs. Each stack is
 split so that every one of the jobs worker processes has work, and each
 run's values are bitwise those run_experiment gives. A run that fails, in
-its config, data, training or evaluation, fails only its own rows, and rows
-come back in grid order.
+its config, data, training or evaluation, fails only its own rows (an error
+of a whole stack, other than a run's divergence, retrains its runs one at
+a time), and rows come back in grid order. A worker holds the datasets of
+all data seeds of its stack at once.
 """
 
 from __future__ import annotations
@@ -367,15 +369,18 @@ def _run_stack(configs) -> list[tuple]:
     reports: list = []
     if runs:
         ids, seeds, data, models = zip(*runs)
+        args = (
+            list(models),
+            [splits[0] for splits in data],
+            [configs[i].train for i in ids],
+            [run_seeds["train"] for run_seeds in seeds],
+        )
         try:
-            reports = train(
-                list(models),
-                [splits[0] for splits in data],
-                [configs[i].train for i in ids],
-                [run_seeds["train"] for run_seeds in seeds],
-            )
-        except Exception as exc:
-            reports = [exc] * len(runs)
+            reports = train(*args)
+        except Exception:
+            # An error of the whole stack (not a divergence, which train
+            # returns per run): train each run alone, so it fails only its own.
+            reports = [_train_alone(*run) for run in zip(*args)]
     times = [(time.perf_counter() - start) / len(configs)] * len(configs)
     for (i, seeds, data, _), report in zip(runs, reports):
         if isinstance(report, Exception):
@@ -390,6 +395,14 @@ def _run_stack(configs) -> list[tuple]:
             outcomes[i] = _error_text(exc)
         times[i] += time.perf_counter() - start
     return list(zip(outcomes, times))
+
+
+def _train_alone(model, dataset, config, seed):
+    """train's report for one run, or the exception it raised."""
+    try:
+        return train(model, dataset, config, seed)
+    except Exception as exc:
+        return exc
 
 
 def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:

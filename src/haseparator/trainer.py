@@ -155,8 +155,8 @@ def train(model, dataset, config, seed):
 
     distinct = {id(d): d for d in datasets}
     which = np.array([list(distinct).index(id(d)) for d in datasets])
-    features = np.stack([d.features for d in distinct.values()])
-    labels = np.stack([d.labels for d in distinct.values()])
+    features = [d.features for d in distinct.values()]
+    labels = [d.labels for d in distinct.values()]
 
     # Run-major flat buffers: row k holds every parameter of run k, so
     # dropping a run drops a row, and the update is one in-place operation.
@@ -177,8 +177,8 @@ def train(model, dataset, config, seed):
             orders = np.array([rng.permutation(size) for rng in rngs])
         while alive:
             idx = orders[:, start : start + first.batch_size]
-            batch_x = pick(features[which[:, None], idx])
-            batch_y = pick(labels[which[:, None], idx])
+            batch_x = pick(_gather(features, which, idx))
+            batch_y = pick(_gather(labels, which, idx))
             trace = forward(net, batch_x)
             result = compute_loss(trace.embeddings, net.class_weights, batch_y, loss)
             values = np.stack(
@@ -224,6 +224,17 @@ def train(model, dataset, config, seed):
         final = _unpack(params[k : k + 1].copy(), layer_dims, shapes, lambda a: a[0])
         outcomes[run] = TrainReport(records=records[run], final_model=final)
     return outcomes if stacked else outcomes[0]
+
+
+def _gather(arrays, which, idx) -> np.ndarray:
+    """Rows idx[k] of arrays[which[k]] for each run k, copying only those rows."""
+    if len(arrays) == 1:
+        return arrays[0][idx]
+    out = np.empty((*idx.shape, *arrays[0].shape[1:]), dtype=arrays[0].dtype)
+    for d, array in enumerate(arrays):
+        runs = which == d
+        out[runs] = array[idx[runs]]
+    return out
 
 
 def _parameters(model: MlpModel) -> list[np.ndarray]:

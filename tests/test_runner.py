@@ -326,6 +326,28 @@ class TestSweepStacks:
             else:
                 assert sweep_row(got) == sweep_row(want)
 
+    def test_stack_error_fails_only_the_failing_run(self, monkeypatch):
+        # A stack-wide error that is not a divergence (a MemoryError, say)
+        # sends each run to train alone; only the run that fails alone errs.
+        failing_seed = derive_seeds(1)["train"]
+        train = runner.train
+
+        def fragile(model, dataset, config, seed):
+            if isinstance(seed, list) or seed == failing_seed:
+                raise MemoryError("out of memory")
+            return train(model, dataset, config, seed)
+
+        sweep = SweepConfig(losses=("haseparator",), margins=(0.4, 0.8), seeds=(0, 1),
+                            experiment=tiny_experiment())
+        expected = run_sweep(sweep)
+        monkeypatch.setattr(runner, "train", fragile)
+        records = run_sweep(sweep)
+        for got, want in zip(records, expected, strict=True):
+            if got.seed == 1:
+                assert got.error == "MemoryError: out of memory"
+            else:
+                assert sweep_row(got) == sweep_row(want)
+
     def test_row_times_sum_within_busy_time(self):
         sweep = SweepConfig(losses=LOSS_KINDS, margins=(0.4, 0.8), seeds=(0, 1, 2),
                             experiment=tiny_experiment(), jobs=2)
