@@ -155,8 +155,7 @@ def train(model, dataset, config, seed):
 
     distinct = {id(d): d for d in datasets}
     which = np.array([list(distinct).index(id(d)) for d in datasets])
-    features = [d.features for d in distinct.values()]
-    labels = [d.labels for d in distinct.values()]
+    distinct = list(distinct.values())
 
     # Run-major flat buffers: row k holds every parameter of run k, so
     # dropping a run drops a row, and the update is one in-place operation.
@@ -177,8 +176,7 @@ def train(model, dataset, config, seed):
             orders = np.array([rng.permutation(size) for rng in rngs])
         while alive:
             idx = orders[:, start : start + first.batch_size]
-            batch_x = pick(_gather(features, which, idx))
-            batch_y = pick(_gather(labels, which, idx))
+            batch_x, batch_y = map(pick, _batch(distinct, which, idx))
             trace = forward(net, batch_x)
             result = compute_loss(trace.embeddings, net.class_weights, batch_y, loss)
             values = np.stack(
@@ -226,15 +224,22 @@ def train(model, dataset, config, seed):
     return outcomes if stacked else outcomes[0]
 
 
-def _gather(arrays, which, idx) -> np.ndarray:
-    """Rows idx[k] of arrays[which[k]] for each run k, copying only those rows."""
-    if len(arrays) == 1:
-        return arrays[0][idx]
-    out = np.empty((*idx.shape, *arrays[0].shape[1:]), dtype=arrays[0].dtype)
-    for d, array in enumerate(arrays):
-        runs = which == d
-        out[runs] = array[idx[runs]]
-    return out
+def _batch(datasets, which, idx):
+    """Features and labels of rows idx[k] of datasets[which[k]] for each run k.
+
+    Only those rows are copied: the stack never holds a second copy of its
+    datasets.
+    """
+    if len(datasets) == 1:
+        return datasets[0].features[idx], datasets[0].labels[idx]
+    features, labels = datasets[0].features, datasets[0].labels
+    batch_x = np.empty((*idx.shape, *features.shape[1:]), dtype=features.dtype)
+    batch_y = np.empty(idx.shape, dtype=labels.dtype)
+    for d, dataset in enumerate(datasets):
+        runs = np.flatnonzero(which == d)
+        rows = idx[runs]
+        batch_x[runs], batch_y[runs] = dataset.features[rows], dataset.labels[rows]
+    return batch_x, batch_y
 
 
 def _parameters(model: MlpModel) -> list[np.ndarray]:
