@@ -28,8 +28,6 @@ from .losses import (
     arcface_loss,
     compute_loss,
     haseparator_loss,
-    hinge_cost,
-    scaled_cosine_logits,
     softmax_loss,
 )
 from .metrics import (
@@ -98,7 +96,6 @@ __all__ = [
     "forward",
     "gaussian_blobs",
     "haseparator_loss",
-    "hinge_cost",
     "init_model",
     "kl_divergence",
     "load_checkpoint",
@@ -108,7 +105,6 @@ __all__ = [
     "run_experiment",
     "run_sweep",
     "save_checkpoint",
-    "scaled_cosine_logits",
     "sgd_step",
     "softmax_loss",
     "split_dataset",

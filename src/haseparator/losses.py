@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor import EPSILON, as_labels, as_matrix, normalize, normalize_backward
 
 SOFTMAX = "softmax"
@@ -121,73 +121,35 @@ class LossResult:
     grad_weights: np.ndarray
 
 
-def scaled_cosine_logits(e, w, sigma: float) -> np.ndarray:
-    """Logits sigma * <e_hat, w_hat>: rows of e and columns of w unit-normalized."""
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    e = as_matrix(e)
-    w = as_matrix(w)
-    if e.shape[1] != w.shape[0]:
-        raise ShapeError(f"cannot multiply {e.shape} by {w.shape}")
-    return sigma * (normalize(e, 1)[0] @ normalize(w, 0)[0])
-
-
 def _target_index(labels) -> tuple:
     """Fancy index of each sample's target entry in a (..., B, C) array."""
     return (*np.ix_(*(np.arange(n) for n in labels.shape)), labels)
 
 
-def _cross_entropy(logits, labels):
-    batch = logits.shape[-2]
-    target = _target_index(labels)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+def _cross_entropy(logits, target):
+    """Mean cross-entropy of the target entries and its logit gradient."""
+    # The class max of a class-major copy compares whole rows elementwise
+    # instead of making one short reduction per sample. A max is exact, so
+    # the bits are the same, except the sign of a NaN: rows with one take
+    # the per-sample reduction.
+    peak = np.max(np.moveaxis(logits, -1, 0).copy(), axis=0)[..., None]
+    if np.isnan(peak).any():
+        peak = logits.max(axis=-1, keepdims=True)
+    shifted = logits - peak
     log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     loss = -np.mean(log_probs[target], axis=-1)
     grad = np.exp(log_probs)
     grad[target] -= 1.0
-    return loss, grad / batch
+    grad /= logits.shape[-2]
+    return loss, grad
 
 
-def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean negative log-softmax of the target class, with its logit gradient.
-
-    Stabilized by per-row max subtraction; the gradient is
-    (softmax - onehot) / batch_size.
-    """
-    logits = as_matrix(logits)
-    labels = as_labels(labels, logits.shape[1])
-    if labels.shape[0] != logits.shape[0]:
-        raise ConfigError(
-            f"got {labels.shape[0]} labels for {logits.shape[0]} logit rows"
-        )
-    loss, grad = _cross_entropy(logits, labels)
-    return float(loss), grad
-
-
-def _hinge(projections, margin, labels):
+def _hinge(projections, margin, target):
     costs = np.maximum(margin - projections, 0.0)
-    costs[_target_index(labels)] = 0.0
+    costs[target] = 0.0
     # Each run's costs summed as one flat row, as a 2-d array's sum() adds them.
     total = costs.reshape(*costs.shape[:-2], -1).sum(axis=-1)
     return costs, total / projections.shape[-2]
-
-
-def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
-    """Relaxed hinge margin - min(p, margin) per projection, target column masked.
-
-    Returns the per-entry cost matrix and its batch mean (sum over classes,
-    mean over samples).
-    """
-    projections = as_matrix(projections)
-    if not 0 < margin <= 1:
-        raise ConfigError(f"margin must lie in (0, 1], got {margin}")
-    labels = as_labels(labels, projections.shape[1])
-    if labels.shape[0] != projections.shape[0]:
-        raise ConfigError(
-            f"got {labels.shape[0]} labels for {projections.shape[0]} projection rows"
-        )
-    costs, loss = _hinge(projections, margin, labels)
-    return costs, float(loss)
 
 
 def _prepare(e, w, labels):
@@ -237,7 +199,7 @@ def _inverse_normal_lengths(w_hat):
     return inv_lengths, (tuple(index[off_diagonal] for index in pairs), diff[:, off_diagonal])
 
 
-def _separator(e_hat, cosines, w_hat, labels, margin):
+def _separator(e_hat, cosines, w_hat, target, margin):
     """The hyperplane hinge term, in closed form.
 
     The normal of pair (t, j) is (w_hat_t - w_hat_j) / d_tj, so the
@@ -260,7 +222,7 @@ def _separator(e_hat, cosines, w_hat, labels, margin):
     batch, num_classes = cosines.shape[-2:]
     if num_classes < 2:
         raise ConfigError("separator loss needs at least 2 classes")
-    target = _target_index(labels)
+    labels = target[-1]
     inv_all, near = _inverse_normal_lengths(w_hat)
     inv_lengths = inv_all[(*target[:-2], labels)]  # B x C
     projections = (cosines[target][..., None] - cosines) * inv_lengths
@@ -277,7 +239,7 @@ def _separator(e_hat, cosines, w_hat, labels, margin):
     # Projections onto unit normals lie in [-1, 1]. The clip only removes
     # rounding, which 1 / d amplifies for nearly collinear columns.
     projections = np.clip(projections, -1.0, 1.0)
-    _, loss = _hinge(projections, margin, labels)
+    _, loss = _hinge(projections, margin, target)
 
     # Hinge subgradient -1/B on active non-target entries, 0 elsewhere
     # (including exactly at the kink p == margin), times dp/dcos = 1/d.
@@ -354,7 +316,7 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
         logits[target] = np.where(
             shifted, sigma * np.cos(theta_kept + arc_margin), sigma * target_cos
         )[..., 0]
-    ce_loss, grad_logits = _cross_entropy(logits, labels)
+    ce_loss, grad_logits = _cross_entropy(logits, target)
 
     grad_cos = sigma * grad_logits
     if arc_margin is not None:
@@ -371,7 +333,7 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
     total_loss, separator_loss, projections = ce_loss, 0.0, None
     if margin is not None:
         projections, separator_loss, sep_grad_cos, gram_grad, near = _separator(
-            e_hat, cosines, w_hat, labels, margin
+            e_hat, cosines, w_hat, target, margin
         )
         total_loss = ce_loss + separator_loss
         grad_cos += sep_grad_cos

@@ -50,18 +50,28 @@ class MlpModel:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer values recorded by forward(), consumed by backward()."""
+    """Per-layer values recorded by forward(), consumed by backward(), and
+    backward()'s gradients of the hidden pre-activations (deltas)."""
 
     inputs: np.ndarray
     pre_activations: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
     embeddings: np.ndarray | None = None
+    deltas: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
 class ModelGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+
+def _slot(arrays: list, i: int, shape) -> np.ndarray:
+    """arrays[i] when it has this shape, else a new array put in its place."""
+    arrays.extend([None] * (i + 1 - len(arrays)))
+    if arrays[i] is None or arrays[i].shape != shape:
+        arrays[i] = np.empty(shape)
+    return arrays[i]
 
 
 def init_model(layer_dims, num_classes: int, seed) -> MlpModel:
@@ -83,8 +93,12 @@ def init_model(layer_dims, num_classes: int, seed) -> MlpModel:
     return MlpModel(dims, weights, biases, class_weights)
 
 
-def forward(model: MlpModel, inputs) -> ForwardTrace:
-    """Run the MLP body; the last layer is affine with no rectifier."""
+def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> ForwardTrace:
+    """Run the MLP body; the last layer is affine with no rectifier.
+
+    Given out, an earlier trace, forward writes into those of its arrays
+    whose shapes fit and returns it, with the values of a fresh trace.
+    """
     x = as_matrix(inputs, stack=True)
     if x.shape[-1] != model.layer_dims[0]:
         raise ShapeError(
@@ -92,24 +106,27 @@ def forward(model: MlpModel, inputs) -> ForwardTrace:
         )
     if x.shape[:-2] != model.class_weights.shape[:-2]:
         raise ShapeError(f"inputs of shape {x.shape} do not match the model's run stack")
-    trace = ForwardTrace(inputs=x)
-    activation = x
+    trace = ForwardTrace(inputs=x) if out is None else out
+    trace.inputs = activation = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = activation @ w + b[..., None, :]
-        trace.pre_activations.append(z)
-        activation = z if i == last else np.maximum(z, 0.0)
-        trace.activations.append(activation)
-    trace.embeddings = activation
+        z = _slot(trace.pre_activations, i, (*x.shape[:-1], w.shape[-1]))
+        np.matmul(activation, w, out=z)
+        z += b[..., None, :]
+        if i < last:
+            activation = np.maximum(z, 0.0, out=_slot(trace.activations, i, z.shape))
+    trace.activations[last:] = [z]
+    trace.embeddings = z
     return trace
 
 
-def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings) -> ModelGrads:
+def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings, out=None) -> ModelGrads:
     """Chain-rule gradients of every body weight and bias.
 
     grad_embeddings is the upstream gradient with respect to the raw
     embeddings (typically LossResult.grad_embeddings); the classification
-    weights get their gradient directly from the loss, not from here.
+    weights get their gradient directly from the loss, not from here. Given
+    out, a ModelGrads shaped like the model, the gradients go there.
     """
     grad_embeddings = as_matrix(grad_embeddings, stack=True)
     if trace.embeddings is None or grad_embeddings.shape != trace.embeddings.shape:
@@ -117,19 +134,20 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings) -> ModelGrad
             f"upstream gradient shape {grad_embeddings.shape} does not match "
             f"trace embeddings"
         )
-    n_layers = len(model.weights)
-    grads_w: list[np.ndarray | None] = [None] * n_layers
-    grads_b: list[np.ndarray | None] = [None] * n_layers
+    if out is None:
+        out = ModelGrads([np.empty_like(w) for w in model.weights],
+                         [np.empty_like(b) for b in model.biases])
     delta = grad_embeddings
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(model.weights) - 1, -1, -1):
         layer_in = trace.inputs if i == 0 else trace.activations[i - 1]
-        grads_w[i] = np.swapaxes(layer_in, -1, -2) @ delta
-        grads_b[i] = delta.sum(axis=-2)
+        np.matmul(np.swapaxes(layer_in, -1, -2), delta, out=out.weights[i])
+        np.sum(delta, axis=-2, out=out.biases[i])
         if i > 0:
-            delta = (delta @ np.swapaxes(model.weights[i], -1, -2)) * (
-                trace.pre_activations[i - 1] > 0
-            )
-    return ModelGrads(weights=grads_w, biases=grads_b)
+            pre = trace.pre_activations[i - 1]
+            delta = np.matmul(delta, np.swapaxes(model.weights[i], -1, -2),
+                              out=_slot(trace.deltas, i - 1, pre.shape))
+            delta *= pre > 0
+    return out
 
 
 def save_checkpoint(model: MlpModel, path) -> None:

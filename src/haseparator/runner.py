@@ -11,14 +11,13 @@ A sweep trains each distinct ExperimentConfig once, so cells that differ
 only in a setting their loss ignores (softmax at two margins) share a run.
 The distinct runs of one loss kind share every array shape, so they train
 together as stacks: one trainer.train call whose arrays carry a leading run
-axis. A training step at (B, N, C) = (64, 16, 5) is almost all numpy's
-per-call cost, which a stack pays once for all of its runs. Each stack is
-split so that every one of the jobs worker processes has work, and each
-run's values are bitwise those run_experiment gives. A run that fails, in
-its config, data, training or evaluation, fails only its own rows (an error
-of a whole stack, other than a run's divergence, retrains its runs one at
-a time), and rows come back in grid order. A worker holds the datasets of
-all data seeds of its stack at once.
+axis, and pays numpy's per-call cost once a step for all of its runs. Each
+stack is split so that every one of the jobs worker processes has work.
+Rows score the test split only, bitwise as run_experiment scores it. A run
+that fails, in its config, data, training or evaluation, fails only its
+own rows (an error of a whole stack, other than a run's divergence,
+retrains its runs one at a time), and rows come back in grid order. A
+worker holds the datasets of all data seeds of its stack at once.
 """
 
 from __future__ import annotations
@@ -190,14 +189,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Train one model and evaluate both splits; write artifacts when asked."""
     seeds, data, model = _setup(config, {})
     report = train(model, data[0], config.train, seeds["train"])
-    result, embeddings = _evaluate(config, seeds, data, report)
-    if out_dir is not None:
-        write_experiment_artifacts(result, embeddings, out_dir)
-    return result
-
-
-def _evaluate(config: ExperimentConfig, seeds, data, report: TrainReport):
-    """Score a trained run on both splits: its result and its embeddings."""
     hists: dict[str, AngleHistograms] = {}
     scores: dict[str, DiscriminationScores] = {}
     embeddings: dict[str, np.ndarray] = {}
@@ -218,7 +209,9 @@ def _evaluate(config: ExperimentConfig, seeds, data, report: TrainReport):
         hists=hists,
         scores=scores,
     )
-    return result, embeddings
+    if out_dir is not None:
+        write_experiment_artifacts(result, embeddings, out_dir)
+    return result
 
 
 def write_embeddings_csv(embeddings, labels, path) -> None:
@@ -264,7 +257,8 @@ def write_experiment_artifacts(result: ExperimentResult, embeddings, out_dir) ->
 
 @dataclass
 class SweepRecord:
-    """One grid cell's outcome; failed cells carry the error, never vanish.
+    """One grid cell's outcome, scored on the test split only; failed cells
+    carry the error, never vanish.
 
     wall_time_s is the cell's share of the work: its stack's data, set-up
     and training time split evenly over the stack's runs, plus its own
@@ -350,12 +344,12 @@ def _error_text(exc: Exception) -> str:
 
 
 def _run_stack(configs) -> list[tuple]:
-    """Train distinct runs of one loss kind as one stack, then score each.
+    """Train distinct runs of one loss kind as one stack, then score each test split.
 
     Returns one (outcome, seconds) per config: outcome is the test accuracy,
     d_kl and d_em and the final separator cost, or the error text of
     whatever failed the run (data, set-up, training, divergence or
-    evaluation).
+    test-split evaluation).
     """
     start = time.perf_counter()
     outcomes: list = [None] * len(configs)
@@ -388,7 +382,8 @@ def _run_stack(configs) -> list[tuple]:
             continue
         start = time.perf_counter()
         try:
-            test = _evaluate(configs[i], seeds, data, report)[0].scores["test"]
+            test = evaluate_model(report.final_model, data[1], bins=configs[i].bins,
+                                  max_pairs=configs[i].max_pairs, seed=seeds["eval_test"])[1]
             final_c_t = report.records[-1].c_sep if report.records else math.nan
             outcomes[i] = (test.accuracy, test.d_kl, test.d_em, final_c_t)
         except Exception as exc:

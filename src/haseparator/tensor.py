@@ -58,7 +58,12 @@ def normalize(m: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     norm <= EPSILON come back as zeros. m is not validated; callers pass a
     checked float64 matrix.
     """
-    norms = np.sqrt(np.sum(m * m, axis=axis, keepdims=True))
+    unit = m * m
+    norms = np.sqrt(np.sum(unit, axis=axis, keepdims=True))
+    # With every norm above EPSILON the masks below change nothing, so one
+    # division gives the same bits. A NaN norm fails the test.
+    if np.all(norms > EPSILON):
+        return np.divide(m, norms, out=unit), norms
     unit = m / np.where(norms > EPSILON, norms, 1.0)
     return np.where(norms <= EPSILON, 0.0, unit), norms
 
@@ -69,6 +74,10 @@ def normalize_backward(unit, norms, grad_unit, axis: int) -> np.ndarray:
     d/dv (v/|v|) applied to an upstream gradient g is (g - u <u, g>) / |v|
     with u = v/|v|. Vectors treated as zero get a zero gradient.
     """
-    inner = np.sum(unit * grad_unit, axis=axis, keepdims=True)
-    grad = (grad_unit - unit * inner) / np.where(norms > EPSILON, norms, 1.0)
+    grad = unit * grad_unit
+    inner = np.sum(grad, axis=axis, keepdims=True)
+    np.subtract(grad_unit, np.multiply(unit, inner, out=grad), out=grad)
+    if np.all(norms > EPSILON):
+        return np.divide(grad, norms, out=grad)
+    grad /= np.where(norms > EPSILON, norms, 1.0)
     return np.where(norms <= EPSILON, 0.0, grad)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .losses import LossConfig, LossStack, compute_loss
 from .metrics import accuracy
-from .model import MlpModel, backward, forward
+from .model import ForwardTrace, MlpModel, ModelGrads, backward, forward
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,13 @@ def sgd_step(params, grads, velocities, lr, momentum, weight_decay) -> None:
 
     The arguments are equal-shape float64 buffers, each holding every
     parameter of every run of a step; each entry's arithmetic is that of
-    the pure per-parameter update, so are its bits.
+    the pure per-parameter update, so are its bits. grads is spent: once
+    added, it holds the update's intermediate products.
     """
     velocities *= momentum
     velocities += grads
-    velocities += weight_decay * params
-    params -= lr * velocities
+    velocities += np.multiply(weight_decay, params, out=grads)
+    params -= np.multiply(lr, velocities, out=grads)
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
@@ -159,11 +160,13 @@ def train(model, dataset, config, seed):
 
     # Run-major flat buffers: row k holds every parameter of run k, so
     # dropping a run drops a row, and the update is one in-place operation.
+    # The gradient buffer has the same layout.
     layer_dims = models[0].layer_dims
     shapes = [p.shape for p in _parameters(models[0])]
     params = np.stack([np.concatenate([p.ravel() for p in _parameters(m)]) for m in models])
-    velocities = np.zeros_like(params)
-    net = _unpack(params, layer_dims, shapes, pick)
+    velocities, grad = np.zeros_like(params), np.empty_like(params)
+    net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
+    steps: dict = {}
     rngs = [np.random.default_rng(s) for s in seeds]
     alive = list(range(len(models)))
     records: list[list[StepRecord]] = [[] for _ in models]
@@ -176,9 +179,10 @@ def train(model, dataset, config, seed):
             orders = np.array([rng.permutation(size) for rng in rngs])
         while alive:
             idx = orders[:, start : start + first.batch_size]
-            batch_x, batch_y = map(pick, _batch(distinct, which, idx))
-            trace = forward(net, batch_x)
-            result = compute_loss(trace.embeddings, net.class_weights, batch_y, loss)
+            batch_x, batch_y, trace = _step_arrays(steps, idx.shape, distinct[0].dim)
+            _batch(distinct, which, idx, batch_x, batch_y)
+            forward(net, pick(batch_x), trace)
+            result = compute_loss(trace.embeddings, net.class_weights, pick(batch_y), loss)
             values = np.stack(
                 np.broadcast_arrays(result.total_loss, result.ce_loss, result.separator_loss),
                 axis=-1,
@@ -196,25 +200,23 @@ def train(model, dataset, config, seed):
                     raise error
                 outcomes[alive[k]] = error
             # The diverged runs leave the stack, and the step is redone
-            # without them.
+            # without them, on step arrays of the new shape.
             alive = [run for run, ok in zip(alive, finite) if ok]
             params, velocities = params[finite], velocities[finite]
+            grad = np.empty_like(params)
+            net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
+            steps.clear()
             which, orders = which[finite], orders[finite]
             rngs = [rng for rng, ok in zip(rngs, finite) if ok]
             loss = LossStack.of([losses[run] for run in alive]) if alive else loss
-            net = _unpack(params, layer_dims, shapes, pick)
         if not alive:
             break
-        grads = backward(net, trace, result.grad_embeddings)
+        backward(net, trace, result.grad_embeddings, ModelGrads(grads.weights, grads.biases))
+        np.copyto(grads.class_weights, result.grad_weights)
         lr = lr_at(step, first)
-        grad = np.concatenate(
-            [g.reshape(len(alive), -1)
-             for g in (*grads.weights, *grads.biases, result.grad_weights)],
-            axis=1,
-        )
         sgd_step(params, grad, velocities, lr, first.momentum, first.weight_decay)
 
-        train_acc = np.reshape(accuracy(result.logits, batch_y), -1).tolist()
+        train_acc = np.reshape(accuracy(result.logits, pick(batch_y)), -1).tolist()
         for run, run_losses, acc in zip(alive, values.tolist(), train_acc):
             records[run].append(StepRecord(step, lr, *run_losses, acc))
 
@@ -224,22 +226,37 @@ def train(model, dataset, config, seed):
     return outcomes if stacked else outcomes[0]
 
 
-def _batch(datasets, which, idx):
-    """Features and labels of rows idx[k] of datasets[which[k]] for each run k.
+def _step_arrays(steps, shape, dim):
+    """steps[shape]: the batch features, labels and trace of a runs x rows
+    batch, made on first use. An epoch's shorter last batch views the first
+    rows of a full batch's arrays."""
+    if shape not in steps:
+        longer = [s for s in steps if s[1] > shape[1]]
+        if not longer:
+            steps[shape] = np.empty((*shape, dim)), np.empty(shape, np.int64), ForwardTrace(None)
+            return steps[shape]
+        batch_x, batch_y, trace = steps[longer[0]]
+        rows = lambda arrays: [a[..., : shape[1], :] for a in arrays]
+        steps[shape] = batch_x[:, : shape[1]], batch_y[:, : shape[1]], ForwardTrace(
+            None, rows(trace.pre_activations), rows(trace.activations), deltas=rows(trace.deltas))
+    return steps[shape]
+
+
+def _batch(datasets, which, idx, batch_x, batch_y) -> None:
+    """Write rows idx[k] of datasets[which[k]] to batch_x[k] and batch_y[k].
 
     Only those rows are copied: the stack never holds a second copy of its
     datasets.
     """
     if len(datasets) == 1:
-        return datasets[0].features[idx], datasets[0].labels[idx]
-    features, labels = datasets[0].features, datasets[0].labels
-    batch_x = np.empty((*idx.shape, *features.shape[1:]), dtype=features.dtype)
-    batch_y = np.empty(idx.shape, dtype=labels.dtype)
+        # Permutation indices never clip; unlike "raise", "clip" writes out unbuffered.
+        np.take(datasets[0].features, idx, axis=0, out=batch_x, mode="clip")
+        np.take(datasets[0].labels, idx, out=batch_y, mode="clip")
+        return
     for d, dataset in enumerate(datasets):
         runs = np.flatnonzero(which == d)
         rows = idx[runs]
         batch_x[runs], batch_y[runs] = dataset.features[rows], dataset.labels[rows]
-    return batch_x, batch_y
 
 
 def _parameters(model: MlpModel) -> list[np.ndarray]:

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from haseparator import losses
 from haseparator.errors import ConfigError, ShapeError
 from haseparator.losses import HASEPARATOR, ARCFACE, LossResult, compute_loss
-from haseparator.model import CHECKPOINT_MAGIC
+from haseparator.model import CHECKPOINT_MAGIC, ForwardTrace, ModelGrads
 from haseparator.tensor import EPSILON, as_labels, as_matrix, normalize, normalize_backward
 
 FD_STEP = 1e-6
@@ -171,7 +171,7 @@ def dense_haseparator_loss(e, w, labels, config) -> LossResult:
     e_hat, e_norms = normalize(e, 1)
     w_hat, w_norms = normalize(w, 0)
     logits = sigma * (e_hat @ w_hat)
-    ce_loss, grad_logits = losses.softmax_cross_entropy(logits, labels)
+    ce_loss, grad_logits = softmax_cross_entropy(logits, labels)
 
     raw = gather_target_columns(w_hat, labels, w_hat.shape[1]) - broadcast_weights(w_hat, batch)
     h_norms = np.sqrt(np.sum(raw * raw, axis=1))  # B x C
@@ -179,7 +179,7 @@ def dense_haseparator_loss(e, w, labels, config) -> LossResult:
     h_safe = np.where(h_norms > EPSILON, h_norms, 1.0)
     h_hat = hyperplane_normals(w_hat, labels)
     projections = hyperplane_projections(e_hat, h_hat)
-    _, separator_loss = losses.hinge_cost(projections, margin, labels)
+    _, separator_loss = hinge_cost(projections, margin, labels)
 
     active = projections < margin
     active[rows, labels] = False
@@ -206,6 +206,108 @@ def dense_haseparator_loss(e, w, labels, config) -> LossResult:
         grad_embeddings=normalize_backward(e_hat, e_norms, grad_e_hat, 1),
         grad_weights=normalize_backward(w_hat, w_norms, grad_w_hat, 0),
     )
+
+
+def scaled_cosine_logits(e, w, sigma: float) -> np.ndarray:
+    """Logits sigma * <e_hat, w_hat>: rows of e and columns of w unit-normalized."""
+    if not sigma > 0:
+        raise ConfigError(f"sigma must be positive, got {sigma}")
+    e = as_matrix(e)
+    w = as_matrix(w)
+    if e.shape[1] != w.shape[0]:
+        raise ShapeError(f"cannot multiply {e.shape} by {w.shape}")
+    return sigma * (normalize(e, 1)[0] @ normalize(w, 0)[0])
+
+
+def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
+    """Mean negative log-softmax of the target class, with its logit gradient.
+
+    Stabilized by per-row max subtraction; the gradient is
+    (softmax - onehot) / batch_size.
+    """
+    logits = as_matrix(logits)
+    labels = as_labels(labels, logits.shape[1])
+    if labels.shape[0] != logits.shape[0]:
+        raise ConfigError(
+            f"got {labels.shape[0]} labels for {logits.shape[0]} logit rows"
+        )
+    loss, grad = losses._cross_entropy(logits, losses._target_index(labels))
+    return float(loss), grad
+
+
+def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
+    """Relaxed hinge margin - min(p, margin) per projection, target column masked.
+
+    Returns the per-entry cost matrix and its batch mean (sum over classes,
+    mean over samples).
+    """
+    projections = as_matrix(projections)
+    if not 0 < margin <= 1:
+        raise ConfigError(f"margin must lie in (0, 1], got {margin}")
+    labels = as_labels(labels, projections.shape[1])
+    if labels.shape[0] != projections.shape[0]:
+        raise ConfigError(
+            f"got {labels.shape[0]} labels for {projections.shape[0]} projection rows"
+        )
+    costs, loss = losses._hinge(projections, margin, losses._target_index(labels))
+    return costs, float(loss)
+
+
+# The expressions of the library's step kernels before they reused buffers
+# and skipped masks that change nothing. The library must match them byte
+# for byte.
+
+
+def reference_normalize(m, axis):
+    norms = np.sqrt(np.sum(m * m, axis=axis, keepdims=True))
+    unit = m / np.where(norms > EPSILON, norms, 1.0)
+    return np.where(norms <= EPSILON, 0.0, unit), norms
+
+
+def reference_normalize_backward(unit, norms, grad_unit, axis):
+    inner = np.sum(unit * grad_unit, axis=axis, keepdims=True)
+    grad = (grad_unit - unit * inner) / np.where(norms > EPSILON, norms, 1.0)
+    return np.where(norms <= EPSILON, 0.0, grad)
+
+
+def reference_cross_entropy(logits, labels):
+    batch = logits.shape[-2]
+    target = losses._target_index(labels)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    loss = -np.mean(log_probs[target], axis=-1)
+    grad = np.exp(log_probs)
+    grad[target] -= 1.0
+    return loss, grad / batch
+
+
+def reference_forward(model, x) -> ForwardTrace:
+    trace = ForwardTrace(inputs=x)
+    activation = x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = activation @ w + b[..., None, :]
+        trace.pre_activations.append(z)
+        activation = z if i == last else np.maximum(z, 0.0)
+        trace.activations.append(activation)
+    trace.embeddings = activation
+    return trace
+
+
+def reference_backward(model, trace, grad_embeddings) -> ModelGrads:
+    n_layers = len(model.weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    delta = grad_embeddings
+    for i in range(n_layers - 1, -1, -1):
+        layer_in = trace.inputs if i == 0 else trace.activations[i - 1]
+        grads_w[i] = np.swapaxes(layer_in, -1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
+        if i > 0:
+            delta = (delta @ np.swapaxes(model.weights[i], -1, -2)) * (
+                trace.pre_activations[i - 1] > 0
+            )
+    return ModelGrads(weights=grads_w, biases=grads_b)
 
 
 def sgd_step(param, grad, velocity, lr, momentum, weight_decay):

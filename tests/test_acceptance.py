@@ -14,8 +14,10 @@ import numpy as np
 from helpers import (
     FD_STEP,
     finite_difference_grads,
+    hinge_cost,
     random_instance,
     relative_error,
+    scaled_cosine_logits,
     smooth_instances,
     transport_cost,
 )
@@ -27,7 +29,6 @@ from haseparator.losses import (
     SOFTMAX,
     LossConfig,
     compute_loss,
-    hinge_cost,
 )
 from haseparator.metrics import AngleHistograms, emd_1d, kl_divergence, pair_angles
 from haseparator.model import init_model
@@ -312,7 +313,6 @@ def test_training_contract(capsys):
     train_config = TrainConfig(steps=200, batch_size=64, base_lr=0.1,
                                loss=LossConfig(loss_kind=SOFTMAX, sigma=3.0))
     trained = train(model, train_data, train_config, seed=1).final_model
-    from haseparator.losses import scaled_cosine_logits
     from haseparator.metrics import accuracy
     from haseparator.model import forward
 

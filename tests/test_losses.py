@@ -16,19 +16,19 @@ from haseparator.losses import (
     arcface_loss,
     compute_loss,
     haseparator_loss,
-    hinge_cost,
-    scaled_cosine_logits,
-    softmax_cross_entropy,
     softmax_loss,
 )
 from helpers import (
     dense_haseparator_loss,
     finite_difference_grads,
+    hinge_cost,
     hyperplane_normals,
     hyperplane_projections,
     random_instance,
     relative_error,
+    scaled_cosine_logits,
     smooth_instances,
+    softmax_cross_entropy,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)

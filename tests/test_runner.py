@@ -348,6 +348,21 @@ class TestSweepStacks:
             else:
                 assert sweep_row(got) == sweep_row(want)
 
+    def test_stack_scores_each_run_on_its_test_split_once(self, monkeypatch):
+        scored = []
+        evaluate = runner.evaluate_model
+
+        def counted(model, dataset, **kwargs):
+            scored.append(dataset.split)
+            return evaluate(model, dataset, **kwargs)
+
+        monkeypatch.setattr(runner, "evaluate_model", counted)
+        configs = [runner._cell_config(tiny_experiment(), "haseparator", 3.0, margin, seed)
+                   for margin in (0.4, 0.8) for seed in (0, 1)]
+        outcomes = runner._run_stack(configs)
+        assert all(isinstance(outcome, tuple) for outcome, _ in outcomes)
+        assert scored == ["test"] * len(configs)
+
     def test_row_times_sum_within_busy_time(self):
         sweep = SweepConfig(losses=LOSS_KINDS, margins=(0.4, 0.8), seeds=(0, 1, 2),
                             experiment=tiny_experiment(), jobs=2)

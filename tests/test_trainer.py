@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from haseparator.data import gaussian_blobs
 from haseparator import trainer
 from haseparator.errors import ConfigError, DivergenceError, ShapeError
-from haseparator.losses import LossConfig, compute_loss, scaled_cosine_logits
+from haseparator.losses import LossConfig, compute_loss
 from haseparator.metrics import accuracy
 from haseparator.model import backward, forward, init_model
 from haseparator.trainer import (
@@ -20,7 +21,7 @@ from haseparator.trainer import (
     write_report_csv,
 )
 
-from helpers import sgd_step
+from helpers import scaled_cosine_logits, sgd_step
 
 
 def softmax_config(**kw):
@@ -195,6 +196,45 @@ class TestInPlaceUpdate:
             expected, losses = reference_train(models[k], data[k], configs[k], seeds[k])
             assert parameter_bytes(reports[k].final_model) == parameter_bytes(expected)
             assert [(r.c_all, r.c_ce, r.c_sep) for r in reports[k].records] == losses
+
+    def test_stack_that_loses_a_run_matches_each_survivor_alone(self):
+        # 72 rows in batches of 16: each epoch ends on a batch of 8, which
+        # reuses the first rows of the full batches' arrays. sigma 1e300
+        # diverges after the first step; the stack then drops that run and
+        # rebuilds its step arrays.
+        data = blob_train_set(per_class=30, dim=4)
+        configs = [
+            TrainConfig(steps=12, batch_size=16, base_lr=5.0,
+                        loss=LossConfig(loss_kind="haseparator", sigma=sigma, margin=0.5))
+            for sigma in (3.0, 1e300, 5.0)
+        ]
+        models = [init_model((data.dim, 8, 6), data.num_classes, seed=50 + k) for k in range(3)]
+        with np.errstate(all="ignore"):
+            reports = train(models, [data] * 3, configs, [60, 61, 62])
+        assert isinstance(reports[1], DivergenceError)
+        assert int(re.search(r"at step (\d+)", str(reports[1])).group(1)) > 0
+        for k in (0, 2):
+            alone = train(models[k], data, configs[k], 60 + k)
+            assert parameter_bytes(reports[k].final_model) == parameter_bytes(alone.final_model)
+            assert repr(reports[k].records) == repr(alone.records)
+
+    def test_stack_memory_is_bounded(self):
+        # A 25-run separator stack of the margin sweep's shapes over 20
+        # steps peaks at 5.9 MB under tracemalloc (6.7 MB when each step
+        # allocated its own arrays); the bound is 1.25 times that.
+        data = [gaussian_blobs(5, 60, 16, center_radius=3.0, stddev=1.3, seed=s)[0]
+                for s in range(5)]
+        models = [init_model((16, 32, 32, 16), 5, seed=k) for k in range(25)]
+        configs = [TrainConfig(steps=20, batch_size=64,
+                               loss=LossConfig(sigma=5.0, margin=0.1 * (1 + k % 10)))
+                   for k in range(25)]
+        tracemalloc.start()
+        try:
+            train(models, [data[k % 5] for k in range(25)], configs, list(range(25)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.4e6
 
     def test_stack_of_mixed_loss_kinds_rejected(self):
         data = blob_train_set()
