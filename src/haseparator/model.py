@@ -51,13 +51,17 @@ class MlpModel:
 @dataclass
 class ForwardTrace:
     """Per-layer values recorded by forward(), consumed by backward(), and
-    backward()'s gradients of the hidden pre-activations (deltas)."""
+    backward()'s gradients of the hidden pre-activations (deltas).
+
+    products holds forward()'s scratch array for the last layer's product.
+    """
 
     inputs: np.ndarray
     pre_activations: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
     embeddings: np.ndarray | None = None
     deltas: list[np.ndarray] = field(default_factory=list)
+    products: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -109,12 +113,18 @@ def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> Forward
     trace = ForwardTrace(inputs=x) if out is None else out
     trace.inputs = activation = x
     last = len(model.weights) - 1
+    # An earlier trace's last activation is its last pre-activation array.
+    del trace.activations[len(trace.pre_activations) - 1 :]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = _slot(trace.pre_activations, i, (*x.shape[:-1], w.shape[-1]))
-        np.matmul(activation, w, out=z)
-        z += b[..., None, :]
+        shape = (*x.shape[:-1], w.shape[-1])
+        # The product goes to scratch (a hidden layer's activation array),
+        # not to z: numpy adds into a one-entry array by its reduction
+        # loop, which can return the bias's NaN instead of the product's.
+        scratch = _slot(*((trace.activations, i) if i < last else (trace.products, 0)), shape)
+        np.matmul(activation, w, out=scratch)
+        z = np.add(scratch, b[..., None, :], out=_slot(trace.pre_activations, i, shape))
         if i < last:
-            activation = np.maximum(z, 0.0, out=_slot(trace.activations, i, z.shape))
+            activation = np.maximum(z, 0.0, out=scratch)
     trace.activations[last:] = [z]
     trace.embeddings = z
     return trace

@@ -238,7 +238,8 @@ def _step_arrays(steps, shape, dim):
         batch_x, batch_y, trace = steps[longer[0]]
         rows = lambda arrays: [a[..., : shape[1], :] for a in arrays]
         steps[shape] = batch_x[:, : shape[1]], batch_y[:, : shape[1]], ForwardTrace(
-            None, rows(trace.pre_activations), rows(trace.activations), deltas=rows(trace.deltas))
+            None, rows(trace.pre_activations), rows(trace.activations), deltas=rows(trace.deltas),
+            products=rows(trace.products))
     return steps[shape]
 
 
