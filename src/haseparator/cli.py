@@ -11,11 +11,13 @@ the tables below, the default jobs of sweep (the CPU count, in _root), and
 epochs, which clears the default steps (in _config).
 
 A --config file holds key=value lines; a line's leading/trailing whitespace
-is ignored and # starts a comment. A key is a flag name or the dotted field
-path that config.txt echoes, so `train --config <run>/config.txt` and `sweep
---config <sweep>/config.txt` replay a run, and `eval --config
-<run>/config.txt` replays its evaluation. train.loss.arc_margin is in
-radians, --arc-margin-deg in degrees. Flags override file values, and the
+is ignored, and # starts a comment at the start of a line or after
+whitespace, so a value such as a path may hold a # that follows no
+whitespace. A key is a flag name or the dotted field path that config.txt
+echoes, so `train --config <run>/config.txt` and `sweep --config
+<sweep>/config.txt` replay a run, and `eval --config <run>/config.txt`
+replays its evaluation. train.loss.arc_margin is in radians,
+--arc-margin-deg in degrees. Flags override file values, and the
 effective settings are echoed into the output directory next to the results.
 """
 
@@ -25,6 +27,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -43,9 +46,11 @@ from .runner import (
     ExperimentConfig,
     SweepConfig,
     build_datasets,
+    config_fields,
     default_seeds,
     derive_seeds,
     evaluate_model,
+    field_parser,
     read_sweep_csv,
     run_experiment,
     run_sweep,
@@ -62,8 +67,6 @@ _USER_ERRORS = (
     LabelError,
     OSError,
 )
-
-_SCALARS = {"int": int, "float": float, "str": str}
 
 
 def _degrees(text: str) -> float:
@@ -92,31 +95,6 @@ _EXTRA_KEYS = {
 }
 
 
-def _parser(annotation: str):
-    """Text -> value for a field annotated as a scalar, an optional scalar
-    (text "None"), or a tuple of scalars (comma-separated)."""
-    if annotation.endswith(" | None"):
-        scalar = _parser(annotation[: -len(" | None")])
-        parse = lambda text: None if text == "None" else scalar(text)
-    elif annotation.startswith("tuple["):
-        item = _SCALARS[annotation[len("tuple["):].split(",")[0]]
-        parse = lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
-    else:
-        return _SCALARS[annotation]
-    parse.__name__ = annotation  # argparse reports "invalid <name> value"
-    return parse
-
-
-def _leaves(config, prefix=""):
-    """(dotted path, annotation) of every non-dataclass field, in config.txt order."""
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if dataclasses.is_dataclass(value):
-            yield from _leaves(value, f"{prefix}{f.name}.")
-        else:
-            yield prefix + f.name, f.type
-
-
 def _root(command: str):
     """The config a subcommand builds, carrying its defaults."""
     return SweepConfig(jobs=os.cpu_count() or 1) if command == "sweep" else ExperimentConfig()
@@ -127,8 +105,8 @@ def _keys(command: str) -> tuple[dict, list[str]]:
     that are also flags. A field's keys are its dotted path and its flag."""
     keys = {key: (key, parse) for key, parse in _EXTRA_KEYS[command].items()}
     flags = list(keys)
-    for path, annotation in _leaves(_root(command)):
-        keys[path] = (path, _parser(annotation))
+    for path, annotation, _ in config_fields(_root(command)):
+        keys[path] = (path, field_parser(annotation))
         if command == "sweep" and path.startswith(_SWEEP_UNFLAGGED):
             continue
         if command == "eval" and path.split(".")[0] not in _EVAL_FIELDS:
@@ -148,7 +126,7 @@ def parse_config_file(path) -> dict[str, str]:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -205,15 +183,16 @@ def _required(values: dict, key: str) -> str:
     return values[key]
 
 
+def _print_scores(split: str, s) -> None:
+    print(f"{split}: accuracy {s.accuracy:.4f}  d_kl {s.d_kl:.4f}  d_em {s.d_em:.2f} deg")
+
+
 def cmd_train(args) -> int:
     config, values = _config(args, "train")
     out = _required(values, "out")
     result = run_experiment(config, out_dir=out)
     for split in ("train", "test"):
-        s = result.scores[split]
-        print(
-            f"{split}: accuracy {s.accuracy:.4f}  d_kl {s.d_kl:.4f}  d_em {s.d_em:.2f} deg"
-        )
+        _print_scores(split, result.scores[split])
     print(f"artifacts written to {out}")
     return 0
 
@@ -261,10 +240,7 @@ def cmd_eval(args) -> int:
         write_histogram_csv(hist, os.path.join(out, f"hist_{split}.csv"))
         write_scores_json(scores, os.path.join(out, f"scores_{split}.json"))
         write_embeddings_csv(embeddings, dataset.labels, os.path.join(out, f"embeddings_{split}.csv"))
-        print(
-            f"{split}: accuracy {scores.accuracy:.4f}  d_kl {scores.d_kl:.4f}  "
-            f"d_em {scores.d_em:.2f} deg"
-        )
+        _print_scores(split, scores)
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -245,11 +245,7 @@ def write_histogram_csv(h: AngleHistograms, path) -> None:
 
 
 def write_scores_json(scores: DiscriminationScores, path) -> None:
-    """One structured record per evaluation."""
+    """One JSON object per evaluation, keyed by the scores' fields in order."""
     with open(path, "w") as fh:
-        json.dump(
-            {"d_kl": scores.d_kl, "d_em": scores.d_em, "accuracy": scores.accuracy},
-            fh,
-            indent=2,
-        )
+        json.dump(asdict(scores), fh, indent=2)
         fh.write("\n")

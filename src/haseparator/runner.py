@@ -29,7 +29,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -223,23 +223,38 @@ def write_embeddings_csv(embeddings, labels, path) -> None:
         write_rows(fh, embeddings, ",", labels)
 
 
-def _flatten_config(value, prefix="") -> list[tuple[str, str]]:
-    if isinstance(value, dict):
-        items = []
-        for key, sub in value.items():
-            sub_prefix = f"{prefix}.{key}" if prefix else key
-            items.extend(_flatten_config(sub, sub_prefix))
-        return items
-    if isinstance(value, (tuple, list)):
-        return [(prefix, ",".join(str(v) for v in value))]
-    return [(prefix, str(value))]
+def config_fields(config, prefix=""):
+    """(dotted path, annotation, value) of every field of a config that is
+    not itself a dataclass, depth first in field order: config.txt's keys."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from config_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f.type, value
+
+
+def field_parser(annotation: str):
+    """Text -> value for a field annotated as a scalar, an optional scalar
+    (text "None"), or a tuple of scalars (comma-separated)."""
+    if annotation.endswith(" | None"):
+        scalar = field_parser(annotation[: -len(" | None")])
+        parse = lambda text: None if text == "None" else scalar(text)
+    elif annotation.startswith("tuple["):
+        item = field_parser(annotation[len("tuple["):].split(",")[0])
+        parse = lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
+    else:
+        return {"int": int, "float": float, "str": str}[annotation]
+    parse.__name__ = annotation  # argparse reports "invalid <name> value"
+    return parse
 
 
 def write_config_echo(config, path) -> None:
-    """Echo every effective setting as flat key=value lines."""
+    """Echo every effective setting as flat key=value lines, tuples comma-separated."""
     with open(path, "w") as fh:
-        for key, value in _flatten_config(asdict(config)):
-            fh.write(f"{key}={value}\n")
+        for key, _, value in config_fields(config):
+            text = ",".join(map(str, value)) if isinstance(value, (tuple, list)) else value
+            fh.write(f"{key}={text}\n")
 
 
 def write_experiment_artifacts(result: ExperimentResult, embeddings, out_dir) -> None:
@@ -446,24 +461,19 @@ def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
     return records
 
 
-# sweep.csv column -> parser; SweepRecord has the same fields, loss as loss_kind
-_SWEEP_COLUMNS = {
-    "loss": str, "sigma": float, "margin": float, "seed": int,
-    "accuracy": float, "d_kl": float, "d_em": float, "final_c_t": float,
-    "wall_time_s": float, "error": str,
-}
+# sweep.csv column -> the SweepRecord field it holds
+_SWEEP_COLUMNS = {("loss" if f.name == "loss_kind" else f.name): f for f in fields(SweepRecord)}
 
 
 def write_sweep_csv(records, path) -> None:
+    """One row per record; the columns are SweepRecord's fields, in order,
+    with loss_kind written as loss and floats as .17g."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_COLUMNS)
         for r in records:
-            writer.writerow(
-                [r.loss_kind, format(r.sigma, ".17g"), format(r.margin, ".17g"), r.seed,
-                 format(r.accuracy, ".17g"), format(r.d_kl, ".17g"), format(r.d_em, ".17g"),
-                 format(r.final_c_t, ".17g"), format(r.wall_time_s, ".17g"), r.error]
-            )
+            writer.writerow([format(getattr(r, f.name), ".17g") if f.type == "float"
+                             else getattr(r, f.name) for f in _SWEEP_COLUMNS.values()])
 
 
 def read_sweep_csv(path) -> list[SweepRecord]:
@@ -480,12 +490,12 @@ def read_sweep_csv(path) -> list[SweepRecord]:
         if None in row or None in row.values():
             raise DataFormatError(f"{where}: expected {len(reader.fieldnames)} fields")
         values = {}
-        for column, parse in _SWEEP_COLUMNS.items():
+        for column, f in _SWEEP_COLUMNS.items():
             try:
-                values[column] = parse(row[column])
+                values[f.name] = field_parser(f.type)(row[column])
             except ValueError:
                 raise DataFormatError(
                     f"{where}: column {column!r} cannot parse {row[column]!r}"
                 ) from None
-        records.append(SweepRecord(loss_kind=values.pop("loss"), **values))
+        records.append(SweepRecord(**values))
     return records

@@ -10,7 +10,7 @@ reproducible, alone or in a stack of runs trained together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -265,8 +265,10 @@ def _parameters(model: MlpModel) -> list[np.ndarray]:
 
 
 def write_report_csv(report: TrainReport, path) -> None:
-    """One CRLF-terminated row per step: step, lr, c_all, c_ce, c_sep, train_acc."""
-    rows = ((r.step, r.lr, r.c_all, r.c_ce, r.c_sep, r.train_acc) for r in report.records)
+    """One CRLF-terminated row per step; the columns are StepRecord's fields,
+    in order, an int field as %d and a float field as %.17g."""
+    columns = fields(StepRecord)
+    line = ",".join("%d" if f.type == "int" else "%.17g" for f in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write("step,lr,c_all,c_ce,c_sep,train_acc\r\n")
-        fh.writelines("%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % row for row in rows)
+        fh.write(",".join(f.name for f in columns) + "\r\n")
+        fh.writelines(line % astuple(r) for r in report.records)

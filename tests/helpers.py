@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 from scipy.optimize import linprog
@@ -465,9 +467,11 @@ def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def per_value_save_delimited(dataset, path, delimiter=","):
     """data.save_delimited as first written, one format() call per value.
 
-    This and the four writers below are the byte-for-byte references for
-    the library's text tables, which format a whole row with one %-format
-    string.
+    This and the seven writers below are the byte-for-byte references for
+    the library's text files. The library formats a whole table row with
+    one %-format string, and takes the columns or keys of report.csv,
+    sweep.csv, config.txt and the scores JSON from its dataclass fields;
+    these spell out each value and each column or key by hand.
     """
     with open(path, "w") as fh:
         for row, label in zip(dataset.features, dataset.labels):
@@ -522,3 +526,44 @@ def per_value_write_report_csv(report, path):
                  format(r.c_ce, ".17g"), format(r.c_sep, ".17g"),
                  format(r.train_acc, ".17g")]
             )
+
+
+def per_value_write_sweep_csv(records, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["loss", "sigma", "margin", "seed", "accuracy", "d_kl", "d_em",
+                         "final_c_t", "wall_time_s", "error"])
+        for r in records:
+            writer.writerow(
+                [r.loss_kind, format(r.sigma, ".17g"), format(r.margin, ".17g"), r.seed,
+                 format(r.accuracy, ".17g"), format(r.d_kl, ".17g"), format(r.d_em, ".17g"),
+                 format(r.final_c_t, ".17g"), format(r.wall_time_s, ".17g"), r.error]
+            )
+
+
+def _flatten_config(value, prefix=""):
+    if isinstance(value, dict):
+        items = []
+        for key, sub in value.items():
+            sub_prefix = f"{prefix}.{key}" if prefix else key
+            items.extend(_flatten_config(sub, sub_prefix))
+        return items
+    if isinstance(value, (tuple, list)):
+        return [(prefix, ",".join(str(v) for v in value))]
+    return [(prefix, str(value))]
+
+
+def per_value_write_config_echo(config, path):
+    with open(path, "w") as fh:
+        for key, value in _flatten_config(asdict(config)):
+            fh.write(f"{key}={value}\n")
+
+
+def per_value_write_scores_json(scores, path):
+    with open(path, "w") as fh:
+        json.dump(
+            {"d_kl": scores.d_kl, "d_em": scores.d_em, "accuracy": scores.accuracy},
+            fh,
+            indent=2,
+        )
+        fh.write("\n")

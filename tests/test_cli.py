@@ -7,12 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haseparator import runner
 from haseparator.cli import _config, build_parser, main, parse_config_file
 from haseparator.data import Dataset, save_delimited
 from haseparator.errors import ConfigError, DataFormatError
-from haseparator.runner import read_sweep_csv, write_config_echo
+from haseparator.losses import LOSS_KINDS, LossConfig
+from haseparator.runner import (
+    DatasetConfig,
+    ExperimentConfig,
+    SweepConfig,
+    read_sweep_csv,
+    write_config_echo,
+)
+from haseparator.trainer import TrainConfig
+from helpers import per_value_write_config_echo
 
 TINY = [
     "--dataset", "blobs", "--num-classes", "3", "--per-class", "20", "--dim", "4",
@@ -269,6 +280,60 @@ def echo_lines(path) -> dict[str, str]:
     return dict(line.split("=", 1) for line in Path(path).read_text().splitlines())
 
 
+# Valid configs whose config.txt must echo and replay exactly: None steps or
+# epochs, empty and one-element tuples, values holding "#" and ", ", and
+# edge floats. nan is left out, because a replayed nan never equals itself.
+echo_floats = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, math.inf, -math.inf, 0.1]),
+    st.floats(allow_nan=False),
+)
+positive_floats = st.floats(min_value=5e-324, allow_nan=False)
+train_settings = dict(
+    batch_size=st.integers(1, 10**4),
+    base_lr=positive_floats,
+    lr_drop_points=st.lists(st.integers(0, 10**6), max_size=2, unique=True).map(
+        lambda points: tuple(sorted(points))),
+    lr_drop_factor=positive_floats,
+    momentum=st.floats(0, 1, exclude_max=True),
+    weight_decay=st.floats(min_value=0, allow_nan=False),
+    loss=st.builds(
+        LossConfig,
+        loss_kind=st.sampled_from(LOSS_KINDS),
+        sigma=positive_floats,
+        margin=st.floats(0, 1, exclude_min=True),
+        arc_margin=st.floats(0, math.pi / 2, exclude_max=True),
+    ),
+)
+experiment_configs = st.builds(
+    ExperimentConfig,
+    dataset=st.builds(
+        DatasetConfig,
+        kind=st.sampled_from(["blobs", "rings", "file:d#1/data.csv", "file:a, b.csv"]),
+        num_classes=st.integers(), per_class=st.integers(), dim=st.integers(),
+        center_radius=echo_floats, stddev=echo_floats, noise=echo_floats,
+        train_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
+    ),
+    hidden_dims=st.lists(st.integers(1, 10**4), max_size=2).map(tuple),
+    embedding_dim=st.integers(1, 10**4),
+    train=st.one_of(
+        st.builds(TrainConfig, steps=st.integers(0, 10**6), **train_settings),
+        st.builds(TrainConfig, epochs=st.integers(0, 10**6), **train_settings),
+    ),
+    bins=st.integers(2, 10**6),
+    max_pairs=st.integers(1, 10**9),
+    seed=st.integers(min_value=0),
+)
+sweep_configs = st.builds(
+    SweepConfig,
+    losses=st.lists(st.sampled_from(LOSS_KINDS), min_size=1, unique=True).map(tuple),
+    sigmas=st.lists(echo_floats, min_size=1, max_size=2, unique=True).map(tuple),
+    margins=st.lists(echo_floats, min_size=1, max_size=2, unique=True).map(tuple),
+    seeds=st.lists(st.integers(), min_size=1, max_size=2, unique=True).map(tuple),
+    experiment=experiment_configs,
+    jobs=st.integers(1, 64),
+)
+
+
 class TestReplay:
     """A run's config.txt is a --config file that reproduces the run."""
 
@@ -340,6 +405,41 @@ class TestReplay:
         for a, b in zip(first, second, strict=True):
             a.wall_time_s = b.wall_time_s = 0.0
             assert a == b
+
+    def test_train_replays_a_path_holding_hash(self, tmp_path, capsys):
+        # "#" starts a comment only at the start of a line or after
+        # whitespace, so the echoed path is read back whole
+        points = tmp_path / "d#1" / "data.csv"
+        points.parent.mkdir()
+        write_points(points)
+        run, replay = tmp_path / "run", tmp_path / "replay"
+        code, _, _ = run_cli(
+            ["train", "--dataset", f"file:{points}", "--hidden-dims", "8",
+             "--embedding-dim", "4", "--steps", "10", "--batch-size", "16",
+             "--out", str(run)],
+            capsys,
+        )
+        assert code == 0
+        assert echo_lines(run / "config.txt")["dataset.kind"] == f"file:{points}"
+        code, _, _ = run_cli(
+            ["train", "--config", str(run / "config.txt"), "--out", str(replay)], capsys
+        )
+        assert code == 0
+        names = sorted(p.name for p in run.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        for name in names:
+            assert (replay / name).read_bytes() == (run / name).read_bytes(), name
+
+    @given(config=st.one_of(experiment_configs, sweep_configs))
+    @settings(max_examples=100, deadline=None)
+    def test_echo_bytes_and_replay_of_any_config(self, tmp_path_factory, config):
+        out = tmp_path_factory.mktemp("echo")
+        write_config_echo(config, out / "new.txt")
+        per_value_write_config_echo(config, out / "old.txt")
+        assert (out / "new.txt").read_bytes() == (out / "old.txt").read_bytes()
+        command = "sweep" if isinstance(config, SweepConfig) else "train"
+        args = build_parser().parse_args([command, "--config", str(out / "new.txt")])
+        assert _config(args, command)[0] == config
 
     def test_flag_keys_and_echo_keys_build_equal_configs(self, tmp_path):
         flag_file = tmp_path / "flags.cfg"

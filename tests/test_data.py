@@ -1,4 +1,6 @@
+import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,9 +25,15 @@ from haseparator.errors import (
     NonNumericCellError,
     RaggedRowError,
 )
-from haseparator.metrics import AngleHistograms, write_histogram_csv
+from haseparator.losses import LOSS_KINDS
+from haseparator.metrics import (
+    AngleHistograms,
+    DiscriminationScores,
+    write_histogram_csv,
+    write_scores_json,
+)
 from haseparator.model import MlpModel, load_checkpoint, save_checkpoint
-from haseparator.runner import write_embeddings_csv
+from haseparator.runner import SweepRecord, read_sweep_csv, write_embeddings_csv, write_sweep_csv
 from haseparator.trainer import StepRecord, TrainReport, write_report_csv
 from helpers import (
     per_value_save_checkpoint,
@@ -33,6 +41,8 @@ from helpers import (
     per_value_write_embeddings_csv,
     per_value_write_histogram_csv,
     per_value_write_report_csv,
+    per_value_write_scores_json,
+    per_value_write_sweep_csv,
 )
 
 # Signed zero, subnormals, the ends of the float range and integral values,
@@ -40,6 +50,10 @@ from helpers import (
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
                3.0, -42.0, 2.0**53 + 2, 1e16, 0.1]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# What a sweep row or a scores file may also hold: nan and the infinities.
+any_floats = st.one_of(st.sampled_from([*EDGE_FLOATS, math.nan, math.inf, -math.inf]), st.floats())
+# Text with every character that csv must quote: commas, quotes, CR and LF.
+csv_text = st.one_of(st.text(st.sampled_from(list('a\u00e9 ,"\r\n:'))), st.text())
 
 
 def float_table(rows, cols):
@@ -300,3 +314,28 @@ class TestTextTables:
         write_report_csv(report, out / "new.csv")
         per_value_write_report_csv(report, out / "old.csv")
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    @given(records=st.lists(st.builds(
+        SweepRecord,
+        loss_kind=st.one_of(st.sampled_from(LOSS_KINDS), csv_text),
+        sigma=any_floats, margin=any_floats, seed=st.integers(),
+        accuracy=any_floats, d_kl=any_floats, d_em=any_floats, final_c_t=any_floats,
+        wall_time_s=any_floats, error=csv_text,
+    ), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_bytes(self, tmp_path_factory, records):
+        out = tmp_path_factory.mktemp("sweep")
+        write_sweep_csv(records, out / "new.csv")
+        per_value_write_sweep_csv(records, out / "old.csv")
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+        loaded = read_sweep_csv(out / "new.csv")
+        assert [repr(astuple(r)) for r in loaded] == [repr(astuple(r)) for r in records]
+
+    @given(values=st.tuples(any_floats, any_floats, any_floats))
+    @settings(max_examples=100, deadline=None)
+    def test_scores_bytes(self, tmp_path_factory, values):
+        out = tmp_path_factory.mktemp("scores")
+        scores = DiscriminationScores(*values)
+        write_scores_json(scores, out / "new.json")
+        per_value_write_scores_json(scores, out / "old.json")
+        assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
