@@ -12,12 +12,13 @@ epochs, which clears the default steps (in _config).
 
 A --config file holds key=value lines; a line's leading/trailing whitespace
 is ignored, and # starts a comment at the start of a line or after
-whitespace, so a value such as a path may hold a # that follows no
-whitespace. A key is a flag name or the dotted field path that config.txt
-echoes, so `train --config <run>/config.txt` and `sweep --config
-<sweep>/config.txt` replay a run, and `eval --config <run>/config.txt`
-replays its evaluation. train.loss.arc_margin is in radians,
---arc-margin-deg in degrees. Flags override file values, and the
+whitespace (runner.CONFIG_COMMENT), so a value such as a path may hold a #
+that follows no whitespace. A dataset kind that config.txt would not give
+back is rejected before anything runs. A key is a flag name or the dotted
+field path that config.txt echoes, so `train --config <run>/config.txt` and
+`sweep --config <sweep>/config.txt` replay a run, and `eval --config
+<run>/config.txt` replays its evaluation. train.loss.arc_margin is in
+radians, --arc-margin-deg in degrees. Flags override file values, and the
 effective settings are echoed into the output directory next to the results.
 """
 
@@ -27,7 +28,6 @@ import argparse
 import dataclasses
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -43,6 +43,7 @@ from .losses import LOSS_KINDS
 from .metrics import write_histogram_csv, write_scores_json
 from .model import load_checkpoint
 from .runner import (
+    CONFIG_COMMENT,
     ExperimentConfig,
     SweepConfig,
     build_datasets,
@@ -126,7 +127,7 @@ def parse_config_file(path) -> dict[str, str]:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
-            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+            line = CONFIG_COMMENT.split(raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -11,7 +11,7 @@ that well-separated embeddings have large positive projections.
 
 A loss call also takes a stack of runs: embeddings K x B x N, weights
 K x N x C, labels K x B and a LossStack of per-run settings. Each run's
-values are bitwise those of its own 2-d call.
+values are bitwise those of its own 2-d call, even beside a non-finite run.
 
 All gradients are analytic (chain rule through the normalizations, the
 cosine and Gram-matrix closed form of the projections, and the
@@ -174,8 +174,8 @@ def _inverse_normal_lengths(w_hat):
     """1 / |w_hat[:, t] - w_hat[:, j]| for every class pair (t, j); 0 where degenerate.
 
     The squared lengths come from the Gram identity G_tt + G_jj - 2 G_tj.
-    Entries below _GRAM_RECHECK (always the diagonal) are recomputed from the
-    column difference, so zero and collinear columns give exactly 0.
+    Entries below _GRAM_RECHECK (always a finite run's diagonal) are recomputed
+    from the column difference, so zero and collinear columns give exactly 0.
 
     Returns (inv_lengths, near): near is None when no off-diagonal pair was
     recomputed, else (pairs, diff), where pairs indexes those pairs and
@@ -192,10 +192,10 @@ def _inverse_normal_lengths(w_hat):
     sq[pairs] = np.sum(diff * diff, axis=0)
     lengths = np.sqrt(sq)
     inv_lengths = np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > EPSILON)
-    # More entries than the diagonal's means some off-diagonal pair is near.
-    if pairs[-1].size <= sq.size // sq.shape[-1]:
-        return inv_lengths, None
+    # A non-finite run recomputes no entry, not even its diagonal.
     off_diagonal = pairs[-2] != pairs[-1]
+    if not off_diagonal.any():
+        return inv_lengths, None
     return inv_lengths, (tuple(index[off_diagonal] for index in pairs), diff[:, off_diagonal])
 
 

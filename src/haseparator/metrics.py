@@ -190,21 +190,19 @@ def build_histograms(pos_angles, neg_angles, num_bins: int = DEFAULT_BINS) -> An
     )
 
 
-def kl_divergence(h: AngleHistograms, epsilon: float = KL_SMOOTHING) -> float:
+def kl_divergence(h: AngleHistograms) -> float:
     """KL(pos || neg) between the smoothed, normalized histograms.
 
-    Counts are normalized first, then epsilon is added to every bin and the
-    result renormalized, so empty bins never produce infinities and the
+    Counts are normalized first, then KL_SMOOTHING is added to every bin and
+    the result renormalized, so empty bins never produce infinities and the
     value is independent of the absolute pair counts. Natural log.
     """
     if h.pos_total <= 0 or h.neg_total <= 0:
         raise ValueError("both histograms must contain mass")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     p = h.pos_counts / h.pos_total
     q = h.neg_counts / h.neg_total
-    p = (p + epsilon) / (1.0 + h.num_bins * epsilon)
-    q = (q + epsilon) / (1.0 + h.num_bins * epsilon)
+    p = (p + KL_SMOOTHING) / (1.0 + h.num_bins * KL_SMOOTHING)
+    q = (q + KL_SMOOTHING) / (1.0 + h.num_bins * KL_SMOOTHING)
     return float(np.sum(p * np.log(p / q)))
 
 

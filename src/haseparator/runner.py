@@ -26,6 +26,7 @@ import csv
 import itertools
 import math
 import os
+import re
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +59,8 @@ from .trainer import TrainConfig, TrainReport, train, write_report_csv
 DATASET_KINDS = ("blobs", "rings")
 FILE_PREFIX = "file:"
 SPLITS = ("train", "test")
+# A config.txt comment starts at a # that begins a line or follows whitespace.
+CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class DatasetConfig:
     kind is "blobs", "rings", or "file:<path>". Synthetic kinds regenerate
     from the experiment seed; rings is inherently 2 classes in 2 dims, so
     num_classes and dim apply to blobs only. train_fraction applies to file
-    datasets (synthetic generators split 80/20 internally).
+    datasets (synthetic generators split 80/20 internally). A kind that
+    config.txt would not give back is rejected.
     """
 
     kind: str = "blobs"
@@ -85,6 +89,9 @@ class DatasetConfig:
                 f"dataset kind must be one of {DATASET_KINDS} or {FILE_PREFIX}<path>, "
                 f"got {self.kind!r}"
             )
+        if CONFIG_COMMENT.split(self.kind, 1)[0].strip() != self.kind or "\n" in self.kind:
+            raise ConfigError(f"config.txt cannot hold dataset kind {self.kind!r}: a line "
+                              "break, edge whitespace or whitespace before # would change it")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 

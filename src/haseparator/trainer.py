@@ -125,8 +125,10 @@ def train(model, dataset, config, seed):
     (repeating a Dataset shares its feature array), and configs that differ
     only in their loss settings, all of one loss kind. The stack's arrays
     carry a leading run axis, and each run's bits equal those of its own
-    call. The result is a list of K entries: a run's TrainReport, or the
-    DivergenceError that took it out of the stack while the others went on.
+    call. Each run gathers its batch rows from its own dataset. The result
+    is a list of K entries: a run's TrainReport, or the DivergenceError
+    that took it out of the stack. A diverged run finishes its step's
+    backward and update with the others, then leaves the stack.
     """
     stacked = isinstance(model, (list, tuple))
     models, datasets, configs, seeds = (
@@ -154,10 +156,6 @@ def train(model, dataset, config, seed):
     loss = LossStack.of(losses) if stacked else first.loss
     pick = (lambda a: a) if stacked else (lambda a: a[0])
 
-    distinct = {id(d): d for d in datasets}
-    which = np.array([list(distinct).index(id(d)) for d in datasets])
-    distinct = list(distinct.values())
-
     # Run-major flat buffers: row k holds every parameter of run k, so
     # dropping a run drops a row, and the update is one in-place operation.
     # The gradient buffer has the same layout.
@@ -177,40 +175,28 @@ def train(model, dataset, config, seed):
         start = (step % batches) * first.batch_size
         if start == 0:
             orders = np.array([rng.permutation(size) for rng in rngs])
-        while alive:
-            idx = orders[:, start : start + first.batch_size]
-            batch_x, batch_y, trace = _step_arrays(steps, idx.shape, distinct[0].dim)
-            _batch(distinct, which, idx, batch_x, batch_y)
-            forward(net, pick(batch_x), trace)
-            result = compute_loss(trace.embeddings, net.class_weights, pick(batch_y), loss)
-            values = np.stack(
-                np.broadcast_arrays(result.total_loss, result.ce_loss, result.separator_loss),
-                axis=-1,
-            ).reshape(-1, 3)  # c_all, c_ce, c_sep of each run
-            finite = np.isfinite(values[:, 0])
-            if finite.all():
-                break
-            for k in np.flatnonzero(~finite):
-                c_all, c_ce, c_sep = values[k].tolist()
-                error = DivergenceError(
-                    f"training diverged at step {step}: total loss {c_all}, "
-                    f"cross-entropy {c_ce}, separator {c_sep}"
-                )
-                if not stacked:
-                    raise error
-                outcomes[alive[k]] = error
-            # The diverged runs leave the stack, and the step is redone
-            # without them, on step arrays of the new shape.
-            alive = [run for run, ok in zip(alive, finite) if ok]
-            params, velocities = params[finite], velocities[finite]
-            grad = np.empty_like(params)
-            net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
-            steps.clear()
-            which, orders = which[finite], orders[finite]
-            rngs = [rng for rng, ok in zip(rngs, finite) if ok]
-            loss = LossStack.of([losses[run] for run in alive]) if alive else loss
-        if not alive:
-            break
+        idx = orders[:, start : start + first.batch_size]
+        batch_x, batch_y, trace = _step_arrays(steps, idx.shape, datasets[0].dim)
+        for k, run in enumerate(alive):
+            # Permutation indices never clip; unlike "raise", "clip" writes out unbuffered.
+            np.take(datasets[run].features, idx[k], axis=0, out=batch_x[k], mode="clip")
+            np.take(datasets[run].labels, idx[k], out=batch_y[k], mode="clip")
+        forward(net, pick(batch_x), trace)
+        result = compute_loss(trace.embeddings, net.class_weights, pick(batch_y), loss)
+        values = np.stack(
+            np.broadcast_arrays(result.total_loss, result.ce_loss, result.separator_loss),
+            axis=-1,
+        ).reshape(-1, 3)  # c_all, c_ce, c_sep of each run
+        finite = np.isfinite(values[:, 0])
+        for k in np.flatnonzero(~finite):
+            c_all, c_ce, c_sep = values[k].tolist()
+            error = DivergenceError(
+                f"training diverged at step {step}: total loss {c_all}, "
+                f"cross-entropy {c_ce}, separator {c_sep}"
+            )
+            if not stacked:
+                raise error
+            outcomes[alive[k]] = error
         backward(net, trace, result.grad_embeddings, ModelGrads(grads.weights, grads.biases))
         np.copyto(grads.class_weights, result.grad_weights)
         lr = lr_at(step, first)
@@ -219,6 +205,17 @@ def train(model, dataset, config, seed):
         train_acc = np.reshape(accuracy(result.logits, pick(batch_y)), -1).tolist()
         for run, run_losses, acc in zip(alive, values.tolist(), train_acc):
             records[run].append(StepRecord(step, lr, *run_losses, acc))
+        if not finite.all():
+            # The diverged runs leave after their step; the others keep its results.
+            alive = [run for run, ok in zip(alive, finite) if ok]
+            if not alive:
+                break
+            params, velocities, orders = params[finite], velocities[finite], orders[finite]
+            grad = np.empty_like(params)
+            net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
+            steps.clear()
+            rngs = [rng for rng, ok in zip(rngs, finite) if ok]
+            loss = LossStack.of([losses[run] for run in alive])
 
     for k, run in enumerate(alive):
         final = _unpack(params[k : k + 1].copy(), layer_dims, shapes, lambda a: a[0])
@@ -241,23 +238,6 @@ def _step_arrays(steps, shape, dim):
             None, rows(trace.pre_activations), rows(trace.activations), deltas=rows(trace.deltas),
             products=rows(trace.products))
     return steps[shape]
-
-
-def _batch(datasets, which, idx, batch_x, batch_y) -> None:
-    """Write rows idx[k] of datasets[which[k]] to batch_x[k] and batch_y[k].
-
-    Only those rows are copied: the stack never holds a second copy of its
-    datasets.
-    """
-    if len(datasets) == 1:
-        # Permutation indices never clip; unlike "raise", "clip" writes out unbuffered.
-        np.take(datasets[0].features, idx, axis=0, out=batch_x, mode="clip")
-        np.take(datasets[0].labels, idx, out=batch_y, mode="clip")
-        return
-    for d, dataset in enumerate(datasets):
-        runs = np.flatnonzero(which == d)
-        rows = idx[runs]
-        batch_x[runs], batch_y[runs] = dataset.features[rows], dataset.labels[rows]
 
 
 def _parameters(model: MlpModel) -> list[np.ndarray]:

@@ -430,6 +430,23 @@ class TestReplay:
         for name in names:
             assert (replay / name).read_bytes() == (run / name).read_bytes(), name
 
+    @pytest.mark.parametrize("path", ["my runs #2/data.csv", "data.csv ", "data.csv\t",
+                                      "a\nb/data.csv", "a\tb #c.csv"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_rejects_a_path_that_config_txt_cannot_give_back(
+        self, tmp_path, capsys, monkeypatch, command, path
+    ):
+        # The file exists, so only the config check can fail the command.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        write_points(tmp_path / path)
+        code, _, err = run_cli(
+            [command, "--dataset", f"file:{path}", "--steps", "5", "--out", "run"], capsys
+        )
+        assert code == 2
+        assert repr(f"file:{path}") in err
+        assert not (tmp_path / "run").exists()
+
     @given(config=st.one_of(experiment_configs, sweep_configs))
     @settings(max_examples=100, deadline=None)
     def test_echo_bytes_and_replay_of_any_config(self, tmp_path_factory, config):

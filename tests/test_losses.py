@@ -475,6 +475,28 @@ class TestClosedFormMatchesDenseOracle:
             for name in ("projections", "grad_embeddings", "grad_weights"):
                 np.testing.assert_array_equal(getattr(stacked, name)[k], getattr(run, name))
 
+    @pytest.mark.parametrize("kind", [SOFTMAX, HASEPARATOR, ARCFACE])
+    def test_stack_beside_a_non_finite_run_matches_each_finite_run_bitwise(self, kind):
+        # Run 0's class weights are all NaN, run 1 has a near class pair and
+        # run 2 has neither: the NaN run must not hide run 1's near pair.
+        rng = np.random.default_rng(43)
+        e, w, labels = random_instance(rng, batch=8, dim=3, classes=4)
+        e, w, labels = np.stack([e] * 3), np.stack([w] * 3), np.stack([labels] * 3)
+        w[0] = np.nan
+        w[1, :, 2] = w[1, :, 1] + 1e-3 * np.array([1.0, 0.0, 0.0])
+        configs = [LossConfig(loss_kind=kind, sigma=s, margin=0.8) for s in (2.0, 4.0, 8.0)]
+        with np.errstate(invalid="ignore"):
+            stacked = compute_loss(e, w, labels, LossStack.of(configs))
+        assert not np.isfinite(stacked.total_loss[0])
+        for k in (1, 2):
+            run = compute_loss(e[k], w[k], labels[k], configs[k])
+            for name in ("total_loss", "ce_loss", "separator_loss", "projections",
+                         "grad_embeddings", "grad_weights"):
+                want = getattr(run, name)
+                if want is not None:
+                    got = np.broadcast_to(getattr(stacked, name), (3, *np.shape(want)))[k]
+                    assert got.tobytes() == np.asarray(want).tobytes(), name
+
 class TestGradientOracles:
     @pytest.mark.parametrize(
         "config",
