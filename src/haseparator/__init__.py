@@ -25,10 +25,7 @@ from .losses import (
     SOFTMAX,
     LossConfig,
     LossResult,
-    arcface_loss,
     compute_loss,
-    haseparator_loss,
-    softmax_loss,
 )
 from .metrics import (
     AngleHistograms,
@@ -87,7 +84,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "accuracy",
-    "arcface_loss",
     "backward",
     "build_histograms",
     "compute_loss",
@@ -95,7 +91,6 @@ __all__ = [
     "evaluate_model",
     "forward",
     "gaussian_blobs",
-    "haseparator_loss",
     "init_model",
     "kl_divergence",
     "load_checkpoint",
@@ -106,7 +101,6 @@ __all__ = [
     "run_sweep",
     "save_checkpoint",
     "sgd_step",
-    "softmax_loss",
     "split_dataset",
     "train",
     "two_rings",

@@ -1,13 +1,14 @@
 """Loss heads on the unit hypersphere.
 
-Three losses share one normalized-cosine classification head and one code
-path: plain softmax cross-entropy, an additive-angular-margin variant
-(arcface), and the hyperplane separator loss (haseparator). The separator
-loss augments cross-entropy with a hinge cost on the projections of each
-embedding onto the unit normals of its target class's separation
-hyperplanes; the normal for class pair (target, other) is the normalized
-difference of the two unit weight columns, oriented target-minus-other so
-that well-separated embeddings have large positive projections.
+Three losses share one normalized-cosine classification head and one entry
+point, compute_loss, which reads the loss kind from its config: plain
+softmax cross-entropy, an additive-angular-margin variant (arcface), and
+the hyperplane separator loss (haseparator). The separator loss augments
+cross-entropy with a hinge cost on the projections of each embedding onto
+the unit normals of its target class's separation hyperplanes; the normal
+for class pair (target, other) is the normalized difference of the two
+unit weight columns, oriented target-minus-other so that well-separated
+embeddings have large positive projections.
 
 A loss call also takes a stack of runs: embeddings K x B x N, weights
 K x N x C, labels K x B and a LossStack of per-run settings. Each run's
@@ -56,7 +57,7 @@ class LossConfig:
     hinge threshold on hyperplane projections, used only by haseparator and
     constrained to (0, 1]. arc_margin is the additive angular margin in
     radians, used only by arcface and constrained to [0, pi/2). Both ranges
-    are checked for every loss kind, because the loss functions trust them.
+    are checked for every loss kind, because compute_loss trusts them.
     """
 
     loss_kind: str = HASEPARATOR
@@ -289,14 +290,28 @@ def _near_pull_back(base, w_hat, gram_grad, near):
     return runs, base + grad
 
 
-def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
-    """Cross-entropy on sigma * cos, the path all three losses share.
+def compute_loss(e, w, labels, config: LossConfig | LossStack) -> LossResult:
+    """Cross-entropy on sigma * cos, the one path of all three loss kinds.
 
-    An arc_margin replaces the target logits with arcface's wherever it is
-    above 0; a margin adds the separator's hinge. With neither it is the
-    plain softmax head. For a stack, e, w and labels carry a leading run
-    axis and each setting is one value per run, shaped (K, 1, 1).
+    config is a LossConfig, or a LossStack for a stack of runs (e, w and
+    labels then carry a leading run axis), and config.loss_kind alone picks
+    what is added to the plain softmax head:
+
+    - arcface replaces each target logit with sigma * cos(theta + arc_margin).
+      The target cosine is clamped before arccos, and theta is capped at
+      pi - arc_margin so the shifted angle stays within [0, pi]. Where
+      arc_margin == 0 the values are exactly softmax's, bit for bit.
+    - haseparator adds the hyperplane hinge at margin, computed in closed
+      form from the cosines and the class Gram matrix; see _separator.
+
+    Every other setting is ignored.
     """
+    if config.loss_kind not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss_kind {config.loss_kind!r}")
+    arcface = config.loss_kind == ARCFACE
+    separator = config.loss_kind == HASEPARATOR
+    sigma, arc_margin, margin = config.sigma, config.arc_margin, config.margin
+
     e, w, labels = _prepare(e, w, labels)
     target = _target_index(labels)
 
@@ -305,8 +320,7 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
     cosines = e_hat @ w_hat
 
     logits = sigma * cosines
-    if arc_margin is not None:
-        # Arcface's target logit sigma * cos(theta + m); see arcface_loss.
+    if arcface:
         # Target entries keep a trailing axis to broadcast with the settings.
         target_cos = cosines[target][..., None]
         clamped = np.clip(target_cos, -1.0 + _COS_CLAMP, 1.0 - _COS_CLAMP)
@@ -319,7 +333,7 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
     ce_loss, grad_logits = _cross_entropy(logits, target)
 
     grad_cos = sigma * grad_logits
-    if arc_margin is not None:
+    if arcface:
         # d logit / d cos on the target entries; zero wherever either clamp
         # (cosine range or angle cap) is active.
         live = (np.abs(target_cos) < 1.0 - _COS_CLAMP) & (theta < math.pi - arc_margin)
@@ -331,7 +345,7 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
         grad_target = grad_logits[target][..., None]
         grad_cos[target] = np.where(shifted, grad_target * slope, sigma * grad_target)[..., 0]
     total_loss, separator_loss, projections = ce_loss, 0.0, None
-    if margin is not None:
+    if separator:
         projections, separator_loss, sep_grad_cos, gram_grad, near = _separator(
             e_hat, cosines, w_hat, target, margin
         )
@@ -339,7 +353,7 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
         grad_cos += sep_grad_cos
 
     grad_w_hat = np.swapaxes(e_hat, -1, -2) @ grad_cos
-    if margin is not None:
+    if separator:
         if near is not None:
             near_runs, near_grad = _near_pull_back(grad_w_hat, w_hat, gram_grad, near)
         # Pulled back through G = w_hat^T w_hat, S adds
@@ -360,38 +374,3 @@ def _cosine_head_loss(e, w, labels, sigma, arc_margin=None, margin=None):
         ),
         grad_weights=normalize_backward(w_hat, w_norms, grad_w_hat, -2),
     )
-
-
-def softmax_loss(e, w, labels, config: LossConfig) -> LossResult:
-    """Plain softmax cross-entropy on scaled cosine logits."""
-    return _cosine_head_loss(e, w, labels, config.sigma)
-
-
-def haseparator_loss(e, w, labels, config: LossConfig) -> LossResult:
-    """Cross-entropy on scaled cosine logits plus the hyperplane hinge cost.
-
-    The hinge is computed in closed form from the cosines and the class
-    Gram matrix; see _separator.
-    """
-    return _cosine_head_loss(e, w, labels, config.sigma, margin=config.margin)
-
-
-def arcface_loss(e, w, labels, config: LossConfig) -> LossResult:
-    """Additive angular margin on the target class before the cosine.
-
-    The target cosine is clamped before arccos, and the target angle is
-    capped at pi - arc_margin so the shifted angle stays within [0, pi].
-    With arc_margin == 0 it gives exactly the softmax values, bit for bit.
-    """
-    return _cosine_head_loss(e, w, labels, config.sigma, arc_margin=config.arc_margin)
-
-
-def compute_loss(e, w, labels, config: LossConfig) -> LossResult:
-    """Dispatch on config.loss_kind."""
-    if config.loss_kind == SOFTMAX:
-        return softmax_loss(e, w, labels, config)
-    if config.loss_kind == HASEPARATOR:
-        return haseparator_loss(e, w, labels, config)
-    if config.loss_kind == ARCFACE:
-        return arcface_loss(e, w, labels, config)
-    raise ConfigError(f"unknown loss_kind {config.loss_kind!r}")

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import EPSILON, as_labels, as_matrix
+from .tensor import EPSILON, as_labels, as_matrix, normalize
 
 KL_SMOOTHING = 1e-10
 DEFAULT_BINS = 180
@@ -109,19 +109,17 @@ def pair_angles(
     if nonfinite:
         raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(embeddings * embeddings, axis=1))
-    keep = norms > EPSILON
+        unit, norms = normalize(embeddings, -1)
+    huge = ~np.isfinite(norms[:, 0])
+    if np.any(huge):
+        # Finite rows whose squared norm overflows: normalize them rescaled.
+        rows = embeddings[huge]
+        unit[huge] = normalize(rows / np.max(np.abs(rows), axis=1, keepdims=True), -1)[0]
+    keep = norms[:, 0] > EPSILON
     dropped = int(np.sum(~keep))
     if dropped:
         warnings.warn(f"excluded {dropped} zero embeddings from pair angles")
-    kept, kept_norms = embeddings[keep], norms[keep]
-    huge = ~np.isfinite(kept_norms)
-    if np.any(huge):
-        # Finite rows whose squared norm overflows: normalize them rescaled.
-        kept[huge] /= np.max(np.abs(kept[huge]), axis=1, keepdims=True)
-        kept_norms[huge] = np.sqrt(np.sum(kept[huge] * kept[huge], axis=1))
-    unit = kept / kept_norms[:, None]
-    kept_labels = labels[keep]
+    unit, kept_labels = unit[keep], labels[keep]
     if unit.shape[0] < 2:
         raise ConfigError("need at least 2 nonzero embeddings")
 

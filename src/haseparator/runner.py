@@ -94,6 +94,9 @@ class DatasetConfig:
                               "break, edge whitespace or whitespace before # would change it")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        for name in ("center_radius", "stddev", "noise"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"bins must be >= 2, got {self.bins}")
         if self.max_pairs < 1:
             raise ConfigError(f"max_pairs must be >= 1, got {self.max_pairs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

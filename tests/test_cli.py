@@ -88,6 +88,31 @@ class TestTrain:
         assert code == 2
         assert "steps" in stderr and "epochs" in stderr
 
+    def test_negative_seed_rejected_before_the_run(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(seed=-1)
+        out = tmp_path / "run"
+        code, _, err = run_cli(["train", *TINY, "--seed", "-1", "--out", str(out)], capsys)
+        assert code == 2
+        assert "seed" in err and "-1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, build", [
+        ("--weight-decay", lambda: TrainConfig(steps=1, weight_decay=math.nan)),
+        ("--center-radius", lambda: DatasetConfig(center_radius=math.nan)),
+        ("--stddev", lambda: DatasetConfig(stddev=math.nan)),
+        ("--noise", lambda: DatasetConfig(noise=math.nan)),
+    ], ids=["weight_decay", "center_radius", "stddev", "noise"])
+    def test_nan_setting_rejected_before_the_run(self, tmp_path, capsys, flag, build):
+        field = flag[2:].replace("-", "_")
+        with pytest.raises(ConfigError, match=field):
+            build()
+        out = tmp_path / "run"
+        code, _, err = run_cli(["train", *TINY, flag, "nan", "--out", str(out)], capsys)
+        assert code == 2
+        assert field in err
+        assert not out.exists()
+
     def test_file_dataset_kind(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), 2, "all")
@@ -171,6 +196,18 @@ class TestEval:
         for name in ("scores_train.json", "scores_test.json",
                      "hist_test.csv", "embeddings_test.csv"):
             assert (out / name).read_bytes() == (trained / name).read_bytes()
+
+    def test_negative_seed_rejected_before_the_evaluation(self, tmp_path, capsys):
+        trained = self.train_once(tmp_path, capsys)
+        out = tmp_path / "eval"
+        code, _, err = run_cli(
+            ["eval", *TINY[:8], "--checkpoint", str(trained / "checkpoint.txt"),
+             "--seed", "-1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "seed" in err and "-1" in err
+        assert not out.exists()
 
     def test_dimension_mismatch_reported(self, tmp_path, capsys):
         trained = self.train_once(tmp_path, capsys)

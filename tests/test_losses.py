@@ -13,10 +13,7 @@ from haseparator.losses import (
     SOFTMAX,
     LossConfig,
     LossStack,
-    arcface_loss,
     compute_loss,
-    haseparator_loss,
-    softmax_loss,
 )
 from helpers import (
     dense_haseparator_loss,
@@ -229,7 +226,7 @@ class TestHaseparatorForward:
         expected_total = c_t + c_c
 
         config = LossConfig(loss_kind=HASEPARATOR, sigma=1.0, margin=1.0)
-        res = haseparator_loss(np.array([[1.0, 0.0]]), np.eye(2), [0], config)
+        res = compute_loss(np.array([[1.0, 0.0]]), np.eye(2), [0], config)
         assert res.separator_loss == pytest.approx(1.0 - INV_SQRT2, abs=1e-12)
         assert res.projections[0, 1] == pytest.approx(INV_SQRT2, abs=1e-12)
         assert res.total_loss == pytest.approx(expected_total, abs=1e-9)
@@ -238,7 +235,7 @@ class TestHaseparatorForward:
     def test_total_is_sum_of_parts(self):
         rng = np.random.default_rng(5)
         e, w, labels = random_instance(rng)
-        res = haseparator_loss(e, w, labels, LossConfig(sigma=2.0, margin=0.6))
+        res = compute_loss(e, w, labels, LossConfig(sigma=2.0, margin=0.6))
         assert res.total_loss == res.ce_loss + res.separator_loss
 
     def test_inactive_margin_reduces_to_softmax(self):
@@ -246,8 +243,8 @@ class TestHaseparatorForward:
         e = np.array([[1.0, 0.0], [0.0, 1.0]])
         w = np.eye(2)
         cfg = LossConfig(loss_kind=HASEPARATOR, sigma=2.0, margin=0.5)
-        res = haseparator_loss(e, w, [0, 1], cfg)
-        ref = softmax_loss(e, w, [0, 1], LossConfig(loss_kind=SOFTMAX, sigma=2.0))
+        res = compute_loss(e, w, [0, 1], cfg)
+        ref = compute_loss(e, w, [0, 1], LossConfig(loss_kind=SOFTMAX, sigma=2.0))
         assert res.separator_loss == 0.0
         assert res.total_loss == pytest.approx(ref.total_loss, abs=1e-15)
         np.testing.assert_allclose(res.grad_embeddings, ref.grad_embeddings, atol=1e-15)
@@ -255,12 +252,12 @@ class TestHaseparatorForward:
 
     def test_two_classes_required(self):
         with pytest.raises(ConfigError):
-            haseparator_loss(np.ones((1, 2)), np.ones((2, 1)), [0], LossConfig())
+            compute_loss(np.ones((1, 2)), np.ones((2, 1)), [0], LossConfig())
 
     def test_zero_embedding_row_stays_finite(self):
         e = np.array([[0.0, 0.0], [1.0, 2.0]])
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        res = haseparator_loss(e, w, [0, 1], LossConfig(sigma=3.0, margin=0.9))
+        res = compute_loss(e, w, [0, 1], LossConfig(sigma=3.0, margin=0.9))
         assert np.isfinite(res.total_loss)
         assert np.all(np.isfinite(res.grad_embeddings))
         assert np.all(np.isfinite(res.grad_weights))
@@ -270,9 +267,9 @@ class TestHaseparatorForward:
         rng = np.random.default_rng(6)
         e, w, labels = random_instance(rng, batch=5, dim=4, classes=3)
         cfg = LossConfig(sigma=3.0, margin=0.8)
-        base = haseparator_loss(e, w, labels, cfg)
+        base = compute_loss(e, w, labels, cfg)
         scales = rng.uniform(0.1, 10.0, size=5)
-        scaled = haseparator_loss(e * scales[:, None], w, labels, cfg)
+        scaled = compute_loss(e * scales[:, None], w, labels, cfg)
         np.testing.assert_allclose(scaled.projections, base.projections, atol=1e-12)
         assert scaled.separator_loss == pytest.approx(base.separator_loss, abs=1e-12)
 
@@ -280,7 +277,7 @@ class TestHaseparatorForward:
         rng = np.random.default_rng(7)
         for _ in range(20):
             e, w, labels = random_instance(rng, batch=6, dim=3, classes=4)
-            res = haseparator_loss(e, w, labels, LossConfig())
+            res = compute_loss(e, w, labels, LossConfig())
             assert np.all(res.projections >= -1.0 - 1e-9)
             assert np.all(res.projections <= 1.0 + 1e-9)
 
@@ -292,7 +289,7 @@ class TestHaseparatorForward:
     @settings(max_examples=60, deadline=None)
     def test_separator_loss_nonnegative_and_capped(self, e, w, labels):
         cfg = LossConfig(sigma=1.0, margin=0.7)
-        res = haseparator_loss(e, w, labels, cfg)
+        res = compute_loss(e, w, labels, cfg)
         classes = w.shape[1]
         assert res.separator_loss >= 0.0
         # J maxes at m+1 (projection -1), hence the universal cap
@@ -307,7 +304,7 @@ class TestHaseparatorForward:
             labels = rng.integers(0, 4, size=6)
             e = w[:, labels].T
             cfg = LossConfig(sigma=2.0, margin=0.9)
-            res = haseparator_loss(e, w, labels, cfg)
+            res = compute_loss(e, w, labels, cfg)
             assert np.all(res.projections >= -1e-12)
             assert res.separator_loss <= cfg.margin * (4 - 1) + 1e-12
 
@@ -315,9 +312,9 @@ class TestHaseparatorForward:
         rng = np.random.default_rng(9)
         e, w, labels = random_instance(rng)
         cfg = LossConfig(sigma=3.0, margin=0.9)
-        res = haseparator_loss(e, w, labels, cfg)
+        res = compute_loss(e, w, labels, cfg)
         lr = 1e-5
-        stepped = haseparator_loss(
+        stepped = compute_loss(
             e - lr * res.grad_embeddings, w - lr * res.grad_weights, labels, cfg
         )
         assert stepped.total_loss < res.total_loss
@@ -329,7 +326,7 @@ def assert_matches_dense_oracle(e, w, labels, config, tol=1e-12, atol=0.0):
     Each array must be within tol relative error or, for arrays that are
     analytically zero, within atol absolute error.
     """
-    res = haseparator_loss(e, w, labels, config)
+    res = compute_loss(e, w, labels, config)
     ref = dense_haseparator_loss(e, w, labels, config)
     for name in ("projections", "grad_embeddings", "grad_weights"):
         got, want = getattr(res, name), getattr(ref, name)
@@ -390,7 +387,7 @@ class TestDegenerateClassColumns:
         res = self.check(e, w, [1], config, atol=1e-15)
         assert res.projections.tolist() == [[0.0, 0.0]]
         assert res.separator_loss == config.margin
-        ref = softmax_loss(e, w, [1], LossConfig(loss_kind=SOFTMAX, sigma=2.5))
+        ref = compute_loss(e, w, [1], LossConfig(loss_kind=SOFTMAX, sigma=2.5))
         np.testing.assert_array_equal(res.grad_embeddings, ref.grad_embeddings)
         np.testing.assert_array_equal(res.grad_weights, ref.grad_weights)
 
@@ -409,7 +406,7 @@ class TestDegenerateClassColumns:
             normal = -basis[:, 1]  # direction of w_hat_0 - w_hat_1
             e = np.stack([normal, -normal, normal + 0.3 * basis[:, 2]])
             labels = np.array([0, 1, 0])
-            res = haseparator_loss(e, w, labels, LossConfig(sigma=3.0, margin=margin))
+            res = compute_loss(e, w, labels, LossConfig(sigma=3.0, margin=margin))
             for arr in (res.projections, res.grad_embeddings, res.grad_weights):
                 assert np.all(np.isfinite(arr))
             assert np.all(np.abs(res.projections) <= 1.0)
@@ -519,8 +516,8 @@ class TestArcface:
     def test_zero_margin_is_bitwise_softmax(self):
         rng = np.random.default_rng(11)
         e, w, labels = random_instance(rng)
-        arc = arcface_loss(e, w, labels, LossConfig(loss_kind=ARCFACE, sigma=4.0, arc_margin=0.0))
-        soft = softmax_loss(e, w, labels, LossConfig(loss_kind=SOFTMAX, sigma=4.0))
+        arc = compute_loss(e, w, labels, LossConfig(loss_kind=ARCFACE, sigma=4.0, arc_margin=0.0))
+        soft = compute_loss(e, w, labels, LossConfig(loss_kind=SOFTMAX, sigma=4.0))
         assert arc.total_loss == soft.total_loss
         np.testing.assert_array_equal(arc.logits, soft.logits)
         np.testing.assert_array_equal(arc.grad_embeddings, soft.grad_embeddings)
@@ -531,7 +528,7 @@ class TestArcface:
         e = np.array([[0.5, math.sqrt(3.0) / 2.0]])
         w = np.eye(2)
         cfg = LossConfig(loss_kind=ARCFACE, sigma=1.0, arc_margin=math.radians(30.0))
-        res = arcface_loss(e, w, [0], cfg)
+        res = compute_loss(e, w, [0], cfg)
         assert res.logits[0, 0] == pytest.approx(0.0, abs=1e-9)
         # non-target logit is the unshifted cosine
         assert res.logits[0, 1] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-9)
@@ -540,7 +537,7 @@ class TestArcface:
         e = np.array([[-1.0, 0.0]])
         w = np.eye(2)
         cfg = LossConfig(loss_kind=ARCFACE, sigma=2.0, arc_margin=0.3)
-        res = arcface_loss(e, w, [0], cfg)
+        res = compute_loss(e, w, [0], cfg)
         assert res.logits[0, 0] == pytest.approx(-2.0, abs=1e-6)
         assert np.all(np.isfinite(res.grad_embeddings))
         assert np.all(np.isfinite(res.grad_weights))
@@ -548,7 +545,7 @@ class TestArcface:
     def test_separator_loss_zero(self):
         rng = np.random.default_rng(12)
         e, w, labels = random_instance(rng)
-        res = arcface_loss(e, w, labels, LossConfig(loss_kind=ARCFACE, arc_margin=0.2))
+        res = compute_loss(e, w, labels, LossConfig(loss_kind=ARCFACE, arc_margin=0.2))
         assert res.separator_loss == 0.0
         assert res.projections is None
 
@@ -567,3 +564,10 @@ class TestComputeLossDispatch:
         a = compute_loss(e, w, labels, LossConfig(loss_kind=SOFTMAX, sigma=2.0, margin=0.3))
         b = compute_loss(e, w, labels, LossConfig(loss_kind=SOFTMAX, sigma=2.0, margin=0.9))
         assert a.total_loss == b.total_loss
+
+    def test_unknown_kind_of_a_hand_built_stack_rejected(self):
+        rng = np.random.default_rng(15)
+        e, w, labels = random_instance(rng)
+        setting = np.full((1, 1, 1), 0.5)
+        with pytest.raises(ConfigError, match="bogus"):
+            compute_loss(e[None], w[None], labels[None], LossStack("bogus", setting, setting, setting))

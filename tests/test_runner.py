@@ -202,6 +202,12 @@ class TestSweep:
         assert records[1].error != ""
         assert math.isnan(records[1].accuracy)
 
+    def test_negative_seed_becomes_a_config_error_row(self):
+        sweep = SweepConfig(losses=("softmax",), seeds=(-2, 0), experiment=tiny_experiment())
+        records = run_sweep(sweep)
+        assert records[0].error.startswith("ConfigError") and "-2" in records[0].error
+        assert records[1].error == ""
+
     def test_parallel_matches_serial(self):
         base = dict(
             losses=("softmax", "haseparator"),
