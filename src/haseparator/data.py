@@ -8,7 +8,9 @@ label balance survives small sample counts.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from .errors import ConfigError, DataFormatError, NonNumericCellError, RaggedRow
 from .tensor import as_labels, as_matrix, normalize
 
 VARIANCE_FLOOR = 1e-12
+# Rows parsed into one float64 block, or formatted at once, by the text-table paths.
+ROW_CHUNK = 1024
 
 
 @dataclass
@@ -119,16 +123,18 @@ def standardize(features) -> np.ndarray:
     means = features.mean(axis=0)
     variances = features.var(axis=0)
     scale = np.where(variances > VARIANCE_FLOOR, np.sqrt(variances), 1.0)
-    out = (features - means) / scale
+    out = features - means
+    out /= scale
     out[:, variances <= VARIANCE_FLOOR] = 0.0
     return out
 
 
-def read_text_lines(path, error) -> list[str]:
-    """A UTF-8 file's lines, endings kept; other bytes raise `error` naming the path."""
+def read_text_lines(path, error) -> Iterator[str]:
+    """A UTF-8 file's lines one at a time, endings kept; other bytes raise
+    `error` naming the path."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            return fh.readlines()
+            yield from fh
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -146,15 +152,16 @@ def load_delimited(
     The label column must hold integer class ids; the remaining columns are
     features, standardized per feature unless standardize_features=False.
     Missing file, bytes that are not UTF-8, ragged rows, and non-numeric or
-    non-finite (nan, inf) cells raise distinct errors.
+    non-finite (nan, inf) cells raise distinct errors; an empty delimiter or
+    a label column outside the table raises ConfigError. The file is read a
+    line at a time and parsed into float64 blocks of ROW_CHUNK rows, so the
+    text is never held whole.
     """
-    lines = [ln.strip() for ln in read_text_lines(path, DataFormatError)]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    if has_header:
-        rows = rows[1:]
-    if not rows:
-        raise RaggedRowError(f"{path}: no data rows")
-    parsed = []
+    if not delimiter:
+        raise ConfigError(f"delimiter must be a nonempty string, got {delimiter!r}")
+    lines = (ln.strip() for ln in read_text_lines(path, DataFormatError))
+    rows = islice((ln for ln in lines if ln and not ln.startswith("#")), int(has_header), None)
+    blocks, parsed = [], []
     width = None
     for lineno, row in enumerate(rows, start=1):
         cells = row.split(delimiter)  # float() ignores the whitespace around a cell
@@ -168,7 +175,15 @@ def load_delimited(
             parsed.append([float(c) for c in cells])
         except ValueError as exc:
             raise NonNumericCellError(f"{path}: row {lineno}: {exc}") from exc
-    table = np.array(parsed)
+        if len(parsed) == ROW_CHUNK:
+            blocks.append(np.array(parsed))
+            parsed = []
+    if parsed:
+        blocks.append(np.array(parsed))
+    if not blocks:
+        raise RaggedRowError(f"{path}: no data rows")
+    table = np.concatenate(blocks)
+    del blocks  # the table holds every row now
     finite = np.isfinite(table)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -178,6 +193,11 @@ def load_delimited(
         )
     if table.shape[1] < 2:
         raise RaggedRowError(f"{path}: need at least 2 columns, got {table.shape[1]}")
+    if not -table.shape[1] <= label_column < table.shape[1]:
+        raise ConfigError(
+            f"{path}: label_column {label_column} is outside a table of "
+            f"{table.shape[1]} columns"
+        )
     col = label_column % table.shape[1]
     raw_labels = table[:, col]
     labels = np.rint(raw_labels).astype(np.int64)
@@ -193,13 +213,15 @@ def load_delimited(
 
 def write_rows(fh, values, delimiter: str, labels=None) -> None:
     """One line per table row: 17 significant digits a value (an exact float64
-    round trip), then the integer label when labels are given."""
-    columns, rows = ["%.17g"] * values.shape[1], values.tolist()
-    if labels is not None:
-        columns.append("%d")
-        rows = ((*row, label) for row, label in zip(rows, np.asarray(labels).tolist()))
-    line = delimiter.join(columns) + "\n"
-    fh.writelines(line % tuple(row) for row in rows)
+    round trip), then the integer label when labels are given. Rows are
+    formatted ROW_CHUNK at a time, so no whole-table list of floats exists."""
+    line = delimiter.join(["%.17g"] * values.shape[1] + ["%d"] * (labels is not None)) + "\n"
+    for start in range(0, values.shape[0], ROW_CHUNK):
+        rows = values[start:start + ROW_CHUNK].tolist()
+        if labels is not None:
+            chunk = np.asarray(labels)[start:start + ROW_CHUNK].tolist()
+            rows = ((*row, label) for row, label in zip(rows, chunk))
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def save_delimited(dataset: Dataset, path, delimiter: str = ",") -> None:

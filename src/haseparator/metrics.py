@@ -21,7 +21,7 @@ from .tensor import EPSILON, as_labels, as_matrix, normalize
 KL_SMOOTHING = 1e-10
 DEFAULT_BINS = 180
 DEFAULT_MAX_PAIRS = 200_000
-# Pairs whose rows are gathered at once, so memory does not grow with the cap.
+# Pairs unranked and gathered at once, so memory does not grow with the cap.
 PAIR_CHUNK = 4096
 
 
@@ -148,22 +148,27 @@ def pair_angles(
     rng = np.random.default_rng(seed)
     pos_ranks = _pair_rank_sample(pos_total, max_pairs_per_kind, rng)
     neg_ranks = _pair_rank_sample(neg_total, max_pairs_per_kind, rng)
-    row, step = _locate(row_starts, pos_ranks)
-    pos_a = rows[row]
-    pos_i, pos_j = order[pos_a], order[pos_a + 1 + step]
-    block, local = _locate(block_starts, neg_ranks)
-    major, minor = np.divmod(local, sizes[c2[block]])
-    neg_i = order[offsets[c1[block]] + major]
-    neg_j = order[offsets[c2[block]] + minor]
 
-    def _angles(i, j):
-        cos = np.empty(i.size)
-        for s in range(0, i.size, PAIR_CHUNK):
-            e = s + PAIR_CHUNK
-            np.einsum("ij,ij->i", unit[i[s:e]], unit[j[s:e]], out=cos[s:e])
-        return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    def _positive(ranks):
+        row, step = _locate(row_starts, ranks)
+        a = rows[row]
+        return order[a], order[a + 1 + step]
 
-    return _angles(pos_i, pos_j), _angles(neg_i, neg_j)
+    def _negative(ranks):
+        block, local = _locate(block_starts, ranks)
+        major, minor = np.divmod(local, sizes[c2[block]])
+        return order[offsets[c1[block]] + major], order[offsets[c2[block]] + minor]
+
+    def _angles(ranks, unrank):
+        # Each chunk of ranks is unranked just before its rows are gathered.
+        out = np.empty(ranks.size)
+        for s in range(0, ranks.size, PAIR_CHUNK):
+            i, j = unrank(ranks[s:s + PAIR_CHUNK])
+            np.einsum("ij,ij->i", unit[i], unit[j], out=out[s:s + PAIR_CHUNK])
+        np.clip(out, -1.0, 1.0, out=out)
+        return np.degrees(np.arccos(out, out=out), out=out)
+
+    return _angles(pos_ranks, _positive), _angles(neg_ranks, _negative)
 
 
 def build_histograms(pos_angles, neg_angles, num_bins: int = DEFAULT_BINS) -> AngleHistograms:

@@ -95,8 +95,8 @@ class DatasetConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         for name in ("center_radius", "stddev", "noise"):
-            if math.isnan(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number, got nan")
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

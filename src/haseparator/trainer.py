@@ -49,8 +49,8 @@ class TrainConfig:
             raise ConfigError(f"lr_drop_factor must be positive, got {self.lr_drop_factor}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         drops = tuple(self.lr_drop_points)
         if any(d < 0 for d in drops) or any(a >= b for a, b in zip(drops, drops[1:])):
             raise ConfigError(f"lr_drop_points must be strictly increasing and >= 0, got {drops}")

@@ -113,6 +113,22 @@ class TestTrain:
         assert field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    @pytest.mark.parametrize("field", ["weight_decay", "center_radius", "stddev", "noise"])
+    def test_infinite_setting_rejected_before_the_run(self, tmp_path, capsys, field, value):
+        # Such a setting used to train and be reported as a divergence at step 0.
+        with pytest.raises(ConfigError, match=field):
+            if field == "weight_decay":
+                TrainConfig(steps=1, weight_decay=float(value))
+            else:
+                DatasetConfig(**{field: float(value)})
+        out = tmp_path / "run"
+        flag = "--" + field.replace("_", "-")
+        code, _, err = run_cli(["train", *TINY, f"{flag}={value}", "--out", str(out)], capsys)
+        assert code == 2
+        assert field in err and "diverged" not in err
+        assert not out.exists()
+
     def test_file_dataset_kind(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), 2, "all")
@@ -319,11 +335,14 @@ def echo_lines(path) -> dict[str, str]:
 
 # Valid configs whose config.txt must echo and replay exactly: None steps or
 # epochs, empty and one-element tuples, values holding "#" and ", ", and
-# edge floats. nan is left out, because a replayed nan never equals itself.
+# edge floats. nan is left out, because a replayed nan never equals itself;
+# the dataset settings and weight_decay must also be finite, while the sweep
+# grid's sigmas and margins keep their infinities.
 echo_floats = st.one_of(
     st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, math.inf, -math.inf, 0.1]),
     st.floats(allow_nan=False),
 )
+finite_echo_floats = echo_floats.filter(math.isfinite)
 positive_floats = st.floats(min_value=5e-324, allow_nan=False)
 train_settings = dict(
     batch_size=st.integers(1, 10**4),
@@ -332,7 +351,7 @@ train_settings = dict(
         lambda points: tuple(sorted(points))),
     lr_drop_factor=positive_floats,
     momentum=st.floats(0, 1, exclude_max=True),
-    weight_decay=st.floats(min_value=0, allow_nan=False),
+    weight_decay=st.floats(min_value=0, allow_nan=False, allow_infinity=False),
     loss=st.builds(
         LossConfig,
         loss_kind=st.sampled_from(LOSS_KINDS),
@@ -347,7 +366,8 @@ experiment_configs = st.builds(
         DatasetConfig,
         kind=st.sampled_from(["blobs", "rings", "file:d#1/data.csv", "file:a, b.csv"]),
         num_classes=st.integers(), per_class=st.integers(), dim=st.integers(),
-        center_radius=echo_floats, stddev=echo_floats, noise=echo_floats,
+        center_radius=finite_echo_floats, stddev=finite_echo_floats,
+        noise=finite_echo_floats,
         train_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
     ),
     hidden_dims=st.lists(st.integers(1, 10**4), max_size=2).map(tuple),

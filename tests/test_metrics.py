@@ -206,7 +206,9 @@ class TestPairAngleChunks:
             assert actual.tobytes() == reference.tobytes()
 
     def test_memory_does_not_grow_with_the_pair_cap(self):
-        # Gathering both rows of all 200 000 pairs at once traces ~227 MB.
+        # Gathering both rows of all 200 000 pairs at once traces ~227 MB, and
+        # unranking every pair before the chunked gathers ~31 MiB; unranking
+        # each chunk just before its gather traces ~20 MiB.
         rng = np.random.default_rng(8)
         e = rng.normal(size=(8000, 64))
         labels = np.repeat(np.arange(50), 160)
@@ -216,7 +218,7 @@ class TestPairAngleChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 24 * 2**20
 
 
 class TestBuildHistograms:
