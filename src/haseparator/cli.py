@@ -240,7 +240,7 @@ def cmd_eval(args) -> int:
         )
         write_histogram_csv(hist, os.path.join(out, f"hist_{split}.csv"))
         write_scores_json(scores, os.path.join(out, f"scores_{split}.json"))
-        write_embeddings_csv(embeddings, dataset.labels, os.path.join(out, f"embeddings_{split}.csv"))
+        write_embeddings_csv(embeddings, dataset.labels, os.path.join(out, f"embeddings_{split}.npz"))
         _print_scores(split, scores)
     return 0
 

@@ -160,6 +160,14 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings, out=None) ->
     return out
 
 
+def _named_parameters(model: MlpModel) -> list[tuple[str, np.ndarray]]:
+    """(checkpoint name, 2-d view) of each parameter, in file order."""
+    named = []
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        named += [(f"layer{i}.weight", w), (f"layer{i}.bias", b.reshape(1, -1))]
+    return named + [("class_weights", model.class_weights)]
+
+
 def save_checkpoint(model: MlpModel, path) -> None:
     """Write a model as line-oriented text.
 
@@ -170,61 +178,52 @@ def save_checkpoint(model: MlpModel, path) -> None:
     layer0.bias, layer1.weight, ... , class_weights; biases are stored as
     1 x n matrices.
     """
-    named = []
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        named.append((f"layer{i}.weight", w))
-        named.append((f"layer{i}.bias", b.reshape(1, -1)))
-    named.append(("class_weights", model.class_weights))
     with open(path, "w") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n")
         fh.write("layer_dims " + " ".join(str(d) for d in model.layer_dims) + "\n")
         fh.write(f"num_classes {model.num_classes}\n")
-        for name, values in named:
+        for name, values in _named_parameters(model):
             fh.write(f"param {name} {values.shape[0]} {values.shape[1]}\n")
             write_rows(fh, values, " ")
 
 
 def load_checkpoint(path) -> MlpModel:
-    """Read a checkpoint written by save_checkpoint; raises CheckpointError."""
-    lines = [ln.rstrip("\r\n") for ln in read_text_lines(path, CheckpointError)]
+    """Read a checkpoint written by save_checkpoint a line at a time, into a
+    model allocated from its layer_dims and num_classes lines, which each
+    parameter header must match; raises CheckpointError naming the path."""
+    lines = (ln.rstrip("\r\n") for ln in read_text_lines(path, CheckpointError))
     try:
-        if not lines or lines[0] != CHECKPOINT_MAGIC:
+        if next(lines, None) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        if not lines[1].startswith("layer_dims ") or not lines[2].startswith("num_classes "):
+        dims_line, classes_line = next(lines, ""), next(lines, "")
+        if not dims_line.startswith("layer_dims ") or not classes_line.startswith("num_classes "):
             raise CheckpointError(f"{path}: missing header lines")
-        dims = tuple(int(v) for v in lines[1].split()[1:])
-        num_classes = int(lines[2].split()[1])
-        pos = 3
-        params = {}
-        while pos < len(lines) and lines[pos]:
-            head = lines[pos].split()
-            if len(head) != 4 or head[0] != "param":
-                raise CheckpointError(f"{path}: bad parameter header {lines[pos]!r}")
-            name, rows, cols = head[1], int(head[2]), int(head[3])
-            block = lines[pos + 1 : pos + 1 + rows]
-            if len(block) != rows:
-                raise CheckpointError(f"{path}: truncated parameter {name}")
-            values = np.array([[float(v) for v in ln.split()] for ln in block])
-            if values.shape != (rows, cols):
-                raise CheckpointError(f"{path}: parameter {name} has wrong shape")
+        dims = tuple(int(v) for v in dims_line.split()[1:])
+        num_classes = int(classes_line.split()[1])
+        if len(dims) < 2 or min(*dims, num_classes) < 1:
+            raise CheckpointError(f"{path}: bad dimensions {dims}, C={num_classes}")
+        model = MlpModel(dims, [np.empty(shape) for shape in zip(dims[:-1], dims[1:])],
+                         [np.empty(d) for d in dims[1:]], np.empty((dims[-1], num_classes)))
+        for name, values in _named_parameters(model):
+            head = next(lines, "").split()
+            if head[:2] != ["param", name] or len(head) != 4:
+                raise CheckpointError(f"{path}: bad header for parameter {name}: {head}")
+            shape = (int(head[2]), int(head[3]))
+            if shape != values.shape:
+                raise CheckpointError(f"{path}: parameter {name} has shape {shape}, "
+                                      f"the header lines give {values.shape}")
+            for row in values:
+                cells = next(lines, None)
+                if cells is None:
+                    raise CheckpointError(f"{path}: truncated parameter {name}")
+                cells = cells.split()
+                if len(cells) != shape[1]:
+                    raise CheckpointError(f"{path}: parameter {name} has wrong shape")
+                row[:] = [float(v) for v in cells]
             if not np.all(np.isfinite(values)):
                 raise CheckpointError(f"{path}: parameter {name} has non-finite values")
-            params[name] = values
-            pos += 1 + rows
     except CheckpointError:
         raise
     except (ValueError, IndexError) as exc:
         raise CheckpointError(f"{path}: cannot parse checkpoint ({exc})") from exc
-
-    try:
-        weights = [params[f"layer{i}.weight"] for i in range(len(dims) - 1)]
-        biases = [params[f"layer{i}.bias"].reshape(-1) for i in range(len(dims) - 1)]
-        class_weights = params["class_weights"]
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing parameter {exc}") from exc
-    for i, w in enumerate(weights):
-        if w.shape != (dims[i], dims[i + 1]) or biases[i].shape != (dims[i + 1],):
-            raise CheckpointError(f"{path}: layer {i} shapes do not match layer_dims")
-    if class_weights.shape != (dims[-1], num_classes):
-        raise CheckpointError(f"{path}: class_weights shape does not match header")
-    return MlpModel(dims, weights, biases, class_weights)
+    return model

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .data import (
-    Dataset, gaussian_blobs, load_delimited, read_text_lines, split_dataset, two_rings, write_rows,
+    Dataset, gaussian_blobs, load_delimited, read_text_lines, split_dataset, two_rings,
 )
 from .errors import ConfigError, DataFormatError
 from .losses import ARCFACE, HASEPARATOR, LOSS_KINDS
@@ -227,12 +227,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
 
 def write_embeddings_csv(embeddings, labels, path) -> None:
-    """First line is the embedding width, then one row of values plus the
-    integer label per sample."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write(f"{embeddings.shape[1]}\n")
-        write_rows(fh, embeddings, ",", labels)
+    """Write an uncompressed .npz holding float64 `embeddings` and int64
+    `labels`; np.load(path, allow_pickle=False) reads it back. Its bytes
+    repeat across reruns. perfbench's tracer pins this name (runner and cli);
+    the rename belongs to ROADMAP item 1's benchmark change."""
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, embeddings=np.asarray(embeddings, dtype=np.float64),
+                 labels=np.asarray(labels, dtype=np.int64))
 
 
 def config_fields(config, prefix=""):
@@ -279,7 +280,7 @@ def write_experiment_artifacts(result: ExperimentResult, embeddings, out_dir) ->
         write_histogram_csv(result.hists[split], join(f"hist_{split}.csv"))
         write_scores_json(result.scores[split], join(f"scores_{split}.json"))
         labels = (result.train_data if split == "train" else result.test_data).labels
-        write_embeddings_csv(embeddings[split], labels, join(f"embeddings_{split}.csv"))
+        write_embeddings_csv(embeddings[split], labels, join(f"embeddings_{split}.npz"))
 
 
 @dataclass

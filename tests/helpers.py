@@ -449,25 +449,22 @@ def loop_pair_angles(embeddings, labels, max_pairs_per_kind, seed=0):
     return _angles(pos_i, pos_j), _angles(neg_i, neg_j)
 
 
-def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of runner.write_embeddings_csv: the width line, then one row
-    of values plus the integer label per sample."""
-    with open(path) as fh:
-        n_dims = int(fh.readline().strip())
-        rows, labels = [], []
-        for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) != n_dims + 1:
-                raise ConfigError(f"expected {n_dims} values + label, got {len(cells)} cells")
-            rows.append([float(c) for c in cells[:-1]])
-            labels.append(int(cells[-1]))
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+def assert_embeddings_npz(path, embeddings, labels):
+    """The .npz at path loads with pickles refused and holds exactly these
+    embeddings as float64 and these labels as int64, bit for bit."""
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["embeddings", "labels"]
+        for key, want, dtype in (("embeddings", embeddings, np.float64),
+                                 ("labels", labels, np.int64)):
+            assert npz[key].dtype == dtype
+            assert npz[key].shape == np.shape(want)
+            assert npz[key].tobytes() == np.asarray(want, dtype=dtype).tobytes()
 
 
 def per_value_save_delimited(dataset, path, delimiter=","):
     """data.save_delimited as first written, one format() call per value.
 
-    This and the seven writers below are the byte-for-byte references for
+    This and the six writers below are the byte-for-byte references for
     the library's text files. The library formats a whole table row with
     one %-format string, and takes the columns or keys of report.csv,
     sweep.csv, config.txt and the scores JSON from its dataclass fields;
@@ -477,15 +474,6 @@ def per_value_save_delimited(dataset, path, delimiter=","):
         for row, label in zip(dataset.features, dataset.labels):
             cells = [format(v, ".17g") for v in row] + [str(int(label))]
             fh.write(delimiter.join(cells) + "\n")
-
-
-def per_value_write_embeddings_csv(embeddings, labels, path):
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write(f"{embeddings.shape[1]}\n")
-        for row, label in zip(embeddings, labels):
-            cells = [format(v, ".17g") for v in row] + [str(int(label))]
-            fh.write(",".join(cells) + "\n")
 
 
 def per_value_save_checkpoint(model, path):

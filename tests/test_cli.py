@@ -67,7 +67,7 @@ class TestTrain:
         assert code == 0
         assert "train: accuracy" in stdout and "test: accuracy" in stdout
         for name in ("checkpoint.txt", "report.csv", "scores_test.json",
-                     "hist_train.csv", "embeddings_test.csv", "config.txt"):
+                     "hist_train.csv", "embeddings_test.npz", "config.txt"):
             assert (out / name).exists()
 
     def test_missing_out_is_a_user_error(self, capsys):
@@ -210,7 +210,7 @@ class TestEval:
         )
         assert code == 0
         for name in ("scores_train.json", "scores_test.json",
-                     "hist_test.csv", "embeddings_test.csv"):
+                     "hist_test.csv", "embeddings_test.npz"):
             assert (out / name).read_bytes() == (trained / name).read_bytes()
 
     def test_negative_seed_rejected_before_the_evaluation(self, tmp_path, capsys):
@@ -440,7 +440,7 @@ class TestReplay:
         assert code == 0
         for split in ("train", "test"):
             for name in (f"scores_{split}.json", f"hist_{split}.csv",
-                         f"embeddings_{split}.csv"):
+                         f"embeddings_{split}.npz"):
                 assert (replay / name).read_bytes() == (run / name).read_bytes(), name
 
     def test_sweep_replays_its_rows(self, tmp_path, capsys):

@@ -40,9 +40,9 @@ from haseparator.model import MlpModel, load_checkpoint, save_checkpoint
 from haseparator.runner import SweepRecord, read_sweep_csv, write_embeddings_csv, write_sweep_csv
 from haseparator.trainer import StepRecord, TrainReport, write_report_csv
 from helpers import (
+    assert_embeddings_npz,
     per_value_save_checkpoint,
     per_value_save_delimited,
-    per_value_write_embeddings_csv,
     per_value_write_histogram_csv,
     per_value_write_report_csv,
     per_value_write_scores_json,
@@ -284,9 +284,6 @@ class TestChunkEdges:
         save_delimited(data, tmp_path / "new.csv")
         per_value_save_delimited(data, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        write_embeddings_csv(data.features, data.labels, tmp_path / "new_emb.csv")
-        per_value_write_embeddings_csv(data.features, data.labels, tmp_path / "old_emb.csv")
-        assert (tmp_path / "new_emb.csv").read_bytes() == (tmp_path / "old_emb.csv").read_bytes()
         loaded = load_delimited(tmp_path / "new.csv", standardize_features=False)
         assert loaded.features.tobytes() == data.features.tobytes()
         assert loaded.labels.tobytes() == data.labels.tobytes()
@@ -349,7 +346,9 @@ class TestFilePathMemory:
 
 
 class TestTextTables:
-    """Row-at-a-time writers give the per-value writers' bytes and round-trip."""
+    """Row-at-a-time writers give the per-value writers' bytes and round-trip;
+    the embeddings .npz, which holds the same tables, repeats its bytes and
+    round-trips."""
 
     @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 5),
            delimiter=st.sampled_from([",", ";", "\t"]))
@@ -366,9 +365,10 @@ class TestTextTables:
         assert loaded.features.tobytes() == features.tobytes()
         assert loaded.labels.tobytes() == labels.tobytes()
 
-        write_embeddings_csv(features, labels, out / "new_emb.csv")
-        per_value_write_embeddings_csv(features, labels, out / "old_emb.csv")
-        assert (out / "new_emb.csv").read_bytes() == (out / "old_emb.csv").read_bytes()
+        write_embeddings_csv(features, labels, out / "emb.npz")
+        write_embeddings_csv(features, labels, out / "again.npz")
+        assert (out / "emb.npz").read_bytes() == (out / "again.npz").read_bytes()
+        assert_embeddings_npz(out / "emb.npz", features, labels)
 
     @given(data=st.data(), dims=st.lists(st.integers(1, 4), min_size=2, max_size=4),
            num_classes=st.integers(1, 4))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from haseparator.cli import main
 from haseparator.errors import CheckpointError, ConfigError, ShapeError
 from haseparator.losses import LossConfig, compute_loss
 from haseparator.model import (
+    CHECKPOINT_MAGIC,
     MlpModel,
     backward,
     forward,
@@ -224,3 +226,43 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match="class_weights"):
             load_checkpoint(path)
+
+    # Each edit of a saved (3, 4) x 2-class checkpoint, whose lines are: the
+    # magic, layer_dims, num_classes, then param headers at 3, 7 and 9.
+    @pytest.mark.parametrize("edit", [
+        lambda lines: ["haseparator-checkpoint 0", *lines[1:]],
+        lambda lines: [*lines[:2], "classes 2", *lines[3:]],
+        lambda lines: [lines[0], "layer_dims 3 0", *lines[2:]],
+        lambda lines: [*lines[:7], "param layer1.bias 1 4", *lines[8:]],
+        lambda lines: [*lines[:9], "param class_weights 2 4", *lines[10:]],
+        lambda lines: [*lines[:8], lines[8] + " 0.5", *lines[9:]],
+        lambda lines: [*lines[:5], "x" + lines[5][1:], *lines[6:]],
+        lambda lines: lines[:-1],
+        lambda lines: lines[:9],
+    ], ids=["magic", "missing header", "dimensions", "unknown parameter", "header shape",
+            "long row", "non-numeric", "truncated block", "missing parameter"])
+    def test_malformed_file_names_its_path(self, tmp_path, edit):
+        path = tmp_path / "model.txt"
+        save_checkpoint(init_model((3, 4), 2, seed=16), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == CHECKPOINT_MAGIC and lines[3].startswith("param layer0.weight")
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_load_holds_the_parameters_not_the_text(self, tmp_path):
+        # 3.7 MiB of parameters in a 9.9 MiB file. Reading every line into a
+        # list and each block into Python floats traced 20.3 MiB.
+        model = init_model((64, 512, 512, 128), 1000, seed=17)
+        path = tmp_path / "wide.txt"
+        save_checkpoint(model, path)
+        params = model.weights + model.biases + [model.class_weights]
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(p.nbytes for p in params)
+        for got, want in zip(loaded.weights + loaded.biases + [loaded.class_weights], params):
+            assert got.tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from haseparator import runner
-from haseparator.data import Dataset, save_delimited
+from haseparator.data import ROW_CHUNK, Dataset, save_delimited
 from haseparator.errors import ConfigError
 from haseparator.losses import LOSS_KINDS, LossConfig
 from haseparator.runner import (
@@ -18,6 +18,7 @@ from haseparator.runner import (
     _cell_config,
     default_seeds,
     derive_seeds,
+    evaluate_model,
     read_sweep_csv,
     run_experiment,
     run_sweep,
@@ -27,7 +28,7 @@ from haseparator.runner import (
 )
 from haseparator.trainer import TrainConfig
 
-from helpers import read_embeddings_csv
+from helpers import assert_embeddings_npz
 
 
 def tiny_experiment(seed=0, loss_kind="softmax", **loss_kw):
@@ -95,12 +96,21 @@ class TestRunExperiment:
         names = sorted(os.listdir(out_a))
         assert names == sorted(os.listdir(out_b))
         assert names == [
-            "checkpoint.txt", "config.txt", "embeddings_test.csv",
-            "embeddings_train.csv", "hist_test.csv", "hist_train.csv",
+            "checkpoint.txt", "config.txt", "embeddings_test.npz",
+            "embeddings_train.npz", "hist_test.csv", "hist_train.csv",
             "report.csv", "scores_test.json", "scores_train.json",
         ]
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_embeddings_artifacts_hold_the_evaluated_embeddings(self, tmp_path):
+        config = tiny_experiment(seed=6)
+        result = run_experiment(config, out_dir=tmp_path)
+        seeds = derive_seeds(config.seed)
+        for split, data in (("train", result.train_data), ("test", result.test_data)):
+            embeddings = evaluate_model(result.model, data, bins=config.bins,
+                                        max_pairs=config.max_pairs, seed=seeds[f"eval_{split}"])[2]
+            assert_embeddings_npz(tmp_path / f"embeddings_{split}.npz", embeddings, data.labels)
 
     def test_same_seed_same_dataset_across_losses(self):
         soft = run_experiment(tiny_experiment(seed=7, loss_kind="softmax"))
@@ -123,17 +133,14 @@ class TestRunExperiment:
         assert result.scores["test"].accuracy > 0.95
 
 
-class TestEmbeddingsCsv:
+class TestEmbeddingsNpz:
     def test_round_trip(self, tmp_path):
+        # More rows than ROW_CHUNK, the block size of the text tables.
         rng = np.random.default_rng(2)
-        emb = rng.normal(size=(7, 5))
-        labels = rng.integers(0, 3, size=7)
-        path = tmp_path / "emb.csv"
-        write_embeddings_csv(emb, labels, path)
-        assert path.read_text().splitlines()[0] == "5"
-        loaded, loaded_labels = read_embeddings_csv(path)
-        np.testing.assert_array_equal(loaded, emb)
-        np.testing.assert_array_equal(loaded_labels, labels)
+        emb = rng.normal(size=(2 * ROW_CHUNK + 7, 5))
+        labels = rng.integers(0, 3, size=emb.shape[0])
+        write_embeddings_csv(emb, labels, tmp_path / "emb.npz")
+        assert_embeddings_npz(tmp_path / "emb.npz", emb, labels)
 
 
 class TestConfigEcho:
