@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -139,32 +138,23 @@ def read_text_lines(path, error) -> Iterator[str]:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_delimited(
-    path,
-    label_column: int = -1,
-    has_header: bool = False,
-    delimiter: str = ",",
-    standardize_features: bool = True,
-    split: str = "train",
-) -> Dataset:
-    """Load a numeric delimited file with one sample per row.
+def load_delimited(path) -> Dataset:
+    """Load the table that save_delimited writes: comma-separated rows of
+    features, then an integer class id below the number of data rows; no
+    header. Blank lines and lines starting with "#" are skipped, whitespace
+    around a cell is ignored, and the features are standardized per column.
 
-    The label column must hold integer class ids; the remaining columns are
-    features, standardized per feature unless standardize_features=False.
-    Missing file, bytes that are not UTF-8, ragged rows, and non-numeric or
-    non-finite (nan, inf) cells raise distinct errors; an empty delimiter or
-    a label column outside the table raises ConfigError. The file is read a
-    line at a time and parsed into float64 blocks of ROW_CHUNK rows, so the
-    text is never held whole.
+    Missing file, bytes that are not UTF-8, ragged rows, and non-numeric,
+    non-finite (nan, inf) or out-of-range label cells raise distinct errors.
+    The file is read a line at a time and parsed into float64 blocks of
+    ROW_CHUNK rows, so the text is never held whole.
     """
-    if not delimiter:
-        raise ConfigError(f"delimiter must be a nonempty string, got {delimiter!r}")
     lines = (ln.strip() for ln in read_text_lines(path, DataFormatError))
-    rows = islice((ln for ln in lines if ln and not ln.startswith("#")), int(has_header), None)
+    rows = (ln for ln in lines if ln and not ln.startswith("#"))
     blocks, parsed = [], []
     width = None
     for lineno, row in enumerate(rows, start=1):
-        cells = row.split(delimiter)  # float() ignores the whitespace around a cell
+        cells = row.split(",")  # float() ignores the whitespace around a cell
         if width is None:
             width = len(cells)
         elif len(cells) != width:
@@ -193,22 +183,15 @@ def load_delimited(
         )
     if table.shape[1] < 2:
         raise RaggedRowError(f"{path}: need at least 2 columns, got {table.shape[1]}")
-    if not -table.shape[1] <= label_column < table.shape[1]:
-        raise ConfigError(
-            f"{path}: label_column {label_column} is outside a table of "
-            f"{table.shape[1]} columns"
-        )
-    col = label_column % table.shape[1]
-    raw_labels = table[:, col]
-    labels = np.rint(raw_labels).astype(np.int64)
-    if not np.allclose(raw_labels, labels, atol=1e-9):
-        raise NonNumericCellError(f"{path}: label column {label_column} is not integral")
+    labels = table[:, -1]
+    if (np.rint(labels) != labels).any():
+        raise NonNumericCellError(f"{path}: the label column is not integral")
     if labels.min() < 0:
-        raise NonNumericCellError(f"{path}: negative class label {labels.min()}")
-    features = np.delete(table, col, axis=1)
-    if standardize_features:
-        features = standardize(features)
-    return Dataset(features, labels, int(labels.max()) + 1, split)
+        raise NonNumericCellError(f"{path}: negative class label {int(labels.min())}")
+    if labels.max() >= len(table):
+        raise NonNumericCellError(f"{path}: class label {int(labels.max())} is not below "
+                                  f"the {len(table)} data rows")
+    return Dataset(standardize(table[:, :-1]), labels, int(labels.max()) + 1)
 
 
 def write_rows(fh, values, delimiter: str, labels=None) -> None:
@@ -224,7 +207,7 @@ def write_rows(fh, values, delimiter: str, labels=None) -> None:
         fh.writelines(line % tuple(row) for row in rows)
 
 
-def save_delimited(dataset: Dataset, path, delimiter: str = ",") -> None:
-    """Write features plus a final label column, the loader's default layout."""
+def save_delimited(dataset: Dataset, path) -> None:
+    """Write features plus a final label column, the table load_delimited reads."""
     with open(path, "w") as fh:
-        write_rows(fh, dataset.features, delimiter, dataset.labels)
+        write_rows(fh, dataset.features, ",", dataset.labels)

@@ -457,10 +457,13 @@ def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
         parts = min(sweep.jobs, len(runs))
         stacks += [runs[p * len(runs) // parts : (p + 1) * len(runs) // parts]
                    for p in range(parts)]
-    if sweep.jobs == 1:
+    # A fork pool starts all of its workers at the first submit, so ask for
+    # no more than there are stacks; an all-failed grid has none.
+    workers = min(sweep.jobs, len(stacks))
+    if workers <= 1:
         results = [_run_stack(stack) for stack in stacks]
     else:
-        with ProcessPoolExecutor(max_workers=sweep.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_stack, stacks))
 
     for stack, outcomes in zip(stacks, results):

@@ -461,7 +461,7 @@ def assert_embeddings_npz(path, embeddings, labels):
             assert npz[key].tobytes() == np.asarray(want, dtype=dtype).tobytes()
 
 
-def per_value_save_delimited(dataset, path, delimiter=","):
+def per_value_save_delimited(dataset, path):
     """data.save_delimited as first written, one format() call per value.
 
     This and the six writers below are the byte-for-byte references for
@@ -473,7 +473,7 @@ def per_value_save_delimited(dataset, path, delimiter=","):
     with open(path, "w") as fh:
         for row, label in zip(dataset.features, dataset.labels):
             cells = [format(v, ".17g") for v in row] + [str(int(label))]
-            fh.write(delimiter.join(cells) + "\n")
+            fh.write(",".join(cells) + "\n")
 
 
 def per_value_save_checkpoint(model, path):

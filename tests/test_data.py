@@ -165,9 +165,9 @@ class TestLoadDelimited:
         original = Dataset(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12), 3, "train")
         path = tmp_path / "data.csv"
         save_delimited(original, path)
-        loaded = load_delimited(path, standardize_features=False)
-        np.testing.assert_allclose(loaded.features, original.features, atol=1e-9)
-        np.testing.assert_array_equal(loaded.labels, original.labels)
+        loaded = load_delimited(path)
+        assert loaded.features.tobytes() == standardize(original.features).tobytes()
+        assert loaded.labels.tobytes() == original.labels.tobytes()
 
     def test_standardized_by_default(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -211,9 +211,9 @@ class TestLoadDelimited:
             ",".join(f" \t{cell} " for cell in line.split(",")) + "\n"
             for line in plain.read_text().splitlines()
         ))
-        a = load_delimited(plain, standardize_features=False)
-        b = load_delimited(padded, standardize_features=False)
+        a, b = load_delimited(plain), load_delimited(padded)
         assert a.features.tobytes() == b.features.tobytes()
+        assert a.features.tobytes() == standardize(original.features).tobytes()
         assert a.labels.tolist() == b.labels.tolist()
 
     def test_non_numeric_cell_names_path_and_row(self, tmp_path):
@@ -241,32 +241,37 @@ class TestLoadDelimited:
         with pytest.raises(NonNumericCellError):
             load_delimited(path)
 
-    def test_header_skipped_when_flagged(self, tmp_path):
+    @pytest.mark.parametrize("cell", ["1000.004", "2.00001"])
+    def test_near_integer_label_rejected(self, tmp_path, cell):
+        # A relative tolerance, as np.allclose's default, rounds these to classes 1000 and 2.
+        path = tmp_path / "near.csv"
+        path.write_text(f"1,2,{cell}\n" + "3,4,0\n" * 1001)
+        with pytest.raises(NonNumericCellError, match=re.escape(f"{path}: ") + ".*not integral"):
+            load_delimited(path)
+
+    def test_integer_labels_written_as_floats_load(self, tmp_path):
+        path = tmp_path / "floats.csv"
+        path.write_text("1,2,3.0\n3,4,0\n5,6,1e0\n7,8,2\n")
+        assert load_delimited(path).labels.tolist() == [3, 0, 1, 2]
+
+    def test_label_not_below_the_row_count_rejected(self, tmp_path, capsys):
+        # A label of 10**12 would ask for a 10**12-column head and stall the
+        # stratified split, which walks every class id up to the largest.
+        path = tmp_path / "big.csv"
+        path.write_text("1,2,0\n3,4,1\n5,6,1000000000000\n")
+        with pytest.raises(NonNumericCellError,
+                           match=re.escape(f"{path}: class label 1000000000000 ") + ".* 3 data rows"):
+            load_delimited(path)
+        code = main(["train", "--dataset", f"file:{path}", "--steps", "2",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: class label")
+
+    def test_header_line_is_a_non_numeric_first_row(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("x,y,label\n1,2,0\n3,4,1\n")
-        loaded = load_delimited(path, has_header=True, standardize_features=False)
-        assert len(loaded) == 2
-
-    def test_label_column_configurable(self, tmp_path):
-        path = tmp_path / "first.csv"
-        path.write_text("1,5.0,6.0\n0,7.0,8.0\n")
-        loaded = load_delimited(path, label_column=0, standardize_features=False)
-        assert loaded.labels.tolist() == [1, 0]
-        np.testing.assert_allclose(loaded.features[0], [5.0, 6.0])
-
-    @pytest.mark.parametrize("label_column", [3, -4, 10])
-    def test_label_column_outside_the_table_rejected(self, tmp_path, label_column):
-        # 3 % 3 used to pick column 0 as the labels.
-        path = tmp_path / "three.csv"
-        path.write_text("1,5.0,6.0\n0,7.0,8.0\n")
-        with pytest.raises(ConfigError, match=rf"label_column {label_column} .* 3 columns"):
-            load_delimited(path, label_column=label_column)
-
-    def test_empty_delimiter_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1,2,0\n3,4,1\n")
-        with pytest.raises(ConfigError, match="delimiter .*''"):
-            load_delimited(path, delimiter="")
+        with pytest.raises(NonNumericCellError, match=re.escape(f"{path}: row 1: ")):
+            load_delimited(path)
 
 
 def chunk_table(seed=12):
@@ -284,8 +289,8 @@ class TestChunkEdges:
         save_delimited(data, tmp_path / "new.csv")
         per_value_save_delimited(data, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        loaded = load_delimited(tmp_path / "new.csv", standardize_features=False)
-        assert loaded.features.tobytes() == data.features.tobytes()
+        loaded = load_delimited(tmp_path / "new.csv")
+        assert loaded.features.tobytes() == standardize(data.features).tobytes()
         assert loaded.labels.tobytes() == data.labels.tobytes()
 
     @pytest.mark.parametrize("cell, error", [
@@ -297,10 +302,10 @@ class TestChunkEdges:
         lines = path.read_text().splitlines(keepends=True)
         bad = 2 * ROW_CHUNK + 3  # 0-based data row inside the last, partial chunk
         lines[bad] = f"{cell},{lines[bad].split(',', 1)[1]}"
-        # A header, a comment and a blank line are not data rows.
-        path.write_text("a,b,c,d,label\n# comment\n\n" + "".join(lines))
+        # A comment and a blank line are not data rows.
+        path.write_text("# comment\n\n" + "".join(lines))
         with pytest.raises(error, match=rf"{re.escape(str(path))}: row {bad + 1}\b"):
-            load_delimited(path, has_header=True)
+            load_delimited(path)
 
     def test_bytes_not_utf8_after_the_first_chunk_name_the_path(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -350,19 +355,19 @@ class TestTextTables:
     the embeddings .npz, which holds the same tables, repeats its bytes and
     round-trips."""
 
-    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 5),
-           delimiter=st.sampled_from([",", ";", "\t"]))
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
-    def test_delimited_and_embeddings_bytes(self, tmp_path_factory, data, rows, cols, delimiter):
+    def test_delimited_and_embeddings_bytes(self, tmp_path_factory, data, rows, cols):
         out = tmp_path_factory.mktemp("rows")
         features = data.draw(float_table(rows, cols))
-        labels = data.draw(arrays(np.int64, rows, elements=st.integers(0, 11)))
-        dataset = Dataset(features, labels, 12)
-        save_delimited(dataset, out / "new.csv", delimiter)
-        per_value_save_delimited(dataset, out / "old.csv", delimiter)
+        # The loader takes class ids below the number of data rows only.
+        labels = data.draw(arrays(np.int64, rows, elements=st.integers(0, rows - 1)))
+        dataset = Dataset(features, labels, rows)
+        save_delimited(dataset, out / "new.csv")
+        per_value_save_delimited(dataset, out / "old.csv")
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
-        loaded = load_delimited(out / "new.csv", delimiter=delimiter, standardize_features=False)
-        assert loaded.features.tobytes() == features.tobytes()
+        loaded = load_delimited(out / "new.csv")
+        assert loaded.features.tobytes() == standardize(features).tobytes()
         assert loaded.labels.tobytes() == labels.tobytes()
 
         write_embeddings_csv(features, labels, out / "emb.npz")

@@ -405,6 +405,47 @@ class TestSweepStacks:
             assert sweep_row(r) == sweep_row(twin)
 
 
+class TestSweepWorkers:
+    """A fork pool starts every worker it is given at the first submit, so a
+    sweep asks for no more workers than it has stacks. A recording fake
+    stands in for the pool, so these tests start no processes."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        return requested
+
+    @pytest.mark.parametrize("losses, margins, jobs, expected", [
+        (("softmax",), (0.5,), 8, []),  # one run: trained in this process
+        (("haseparator",), (1.5,), 4, []),  # every cell fails set-up: no stacks
+        (("softmax", "haseparator"), (0.5,), 2, [2]),
+        (LOSS_KINDS, (0.5,), 8, [3]),
+    ])
+    def test_workers_bounded_by_stacks(self, pools, losses, margins, jobs, expected):
+        sweep = SweepConfig(losses=losses, margins=margins, experiment=tiny_experiment(),
+                            jobs=jobs)
+        records = run_sweep(sweep)
+        assert pools == expected
+        for r in records:
+            assert sweep_row(r) == cell_row(sweep.experiment, r.loss_kind, r.sigma,
+                                            r.margin, r.seed)
+
+
 class TestDefaultSeeds:
     def test_base_plus_index(self):
         assert default_seeds(10, 3) == (10, 11, 12)
