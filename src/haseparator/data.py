@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import ConfigError, DataFormatError, NonNumericCellError, RaggedRow
 from .tensor import as_labels, as_matrix, normalize
 
 VARIANCE_FLOOR = 1e-12
-# Rows parsed into one float64 block, or formatted at once, by the text-table paths.
+# Rows formatted at once by the text-table writers.
 ROW_CHUNK = 1024
 
 
@@ -138,21 +139,17 @@ def read_text_lines(path, error) -> Iterator[str]:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_delimited(path) -> Dataset:
-    """Load the table that save_delimited writes: comma-separated rows of
-    features, then an integer class id below the number of data rows; no
-    header. Blank lines and lines starting with "#" are skipped, whitespace
-    around a cell is ignored, and the features are standardized per column.
-
-    Missing file, bytes that are not UTF-8, ragged rows, and non-numeric,
-    non-finite (nan, inf) or out-of-range label cells raise distinct errors.
-    The file is read a line at a time and parsed into float64 blocks of
-    ROW_CHUNK rows, so the text is never held whole.
-    """
+def _data_rows(path) -> Iterator[str]:
+    """The stripped lines of a delimited file that hold data: not blank and
+    not a "#" comment."""
     lines = (ln.strip() for ln in read_text_lines(path, DataFormatError))
-    rows = (ln for ln in lines if ln and not ln.startswith("#"))
-    blocks, parsed = [], []
-    width = None
+    return (ln for ln in lines if ln and not ln.startswith("#"))
+
+
+def _parse_rows(path, rows) -> np.ndarray:
+    """The table with one float() a cell, or the typed error of the first
+    bad data row, numbered from 1."""
+    parsed, width = [], None
     for lineno, row in enumerate(rows, start=1):
         cells = row.split(",")  # float() ignores the whitespace around a cell
         if width is None:
@@ -165,15 +162,31 @@ def load_delimited(path) -> Dataset:
             parsed.append([float(c) for c in cells])
         except ValueError as exc:
             raise NonNumericCellError(f"{path}: row {lineno}: {exc}") from exc
-        if len(parsed) == ROW_CHUNK:
-            blocks.append(np.array(parsed))
-            parsed = []
-    if parsed:
-        blocks.append(np.array(parsed))
-    if not blocks:
+    return np.array(parsed)
+
+
+def load_delimited(path) -> Dataset:
+    """Load the table that save_delimited writes: comma-separated rows of
+    features, then an integer class id below the number of data rows; no
+    header. Blank lines and lines starting with "#" are skipped, whitespace
+    around a cell is ignored, and the features are standardized per column.
+
+    Missing file, bytes that are not UTF-8, ragged rows, non-numeric,
+    non-finite (nan, inf) or out-of-range label cells, and feature columns
+    that overflow float64 when standardized raise distinct errors. One
+    np.loadtxt call reads the rows, converting each cell as float() does;
+    when numpy refuses the file, it is read again one float() a cell, for
+    the typed error of the first bad data row or for cells that only
+    float() takes (digit underscores, non-ASCII digits).
+    """
+    rows = _data_rows(path)
+    first = next(rows, None)
+    if first is None:
         raise RaggedRowError(f"{path}: no data rows")
-    table = np.concatenate(blocks)
-    del blocks  # the table holds every row now
+    try:
+        table = np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = _parse_rows(path, _data_rows(path))
     finite = np.isfinite(table)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -191,6 +204,13 @@ def load_delimited(path) -> Dataset:
     if labels.max() >= len(table):
         raise NonNumericCellError(f"{path}: class label {int(labels.max())} is not below "
                                   f"the {len(table)} data rows")
+    # A finite variance bounds every step of standardize; an overflowing one
+    # turns the column into nan (its sum overflows) or zeros (its squares do).
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = ~np.isfinite(table[:, :-1].var(axis=0))
+    if overflowed.any():
+        raise NonNumericCellError(f"{path}: column {int(np.argmax(overflowed))} overflows "
+                                  f"float64 when standardized")
     return Dataset(standardize(table[:, :-1]), labels, int(labels.max()) + 1)
 
 

@@ -95,6 +95,9 @@ def pair_angles(
     excluded with a warning; non-finite embeddings (a diverged model) raise
     ConfigError. Rows whose squared norm overflows float64 are rescaled
     before they are normalized.
+
+    The angles are computed in ascending rank order, so that the row gathers
+    sweep the embeddings in order, and returned in sample order.
     """
     embeddings = as_matrix(embeddings)
     labels = np.asarray(labels)
@@ -119,13 +122,15 @@ def pair_angles(
     dropped = int(np.sum(~keep))
     if dropped:
         warnings.warn(f"excluded {dropped} zero embeddings from pair angles")
-    unit, kept_labels = unit[keep], labels[keep]
-    if unit.shape[0] < 2:
+    kept = np.flatnonzero(keep)
+    if kept.size < 2:
         raise ConfigError("need at least 2 nonzero embeddings")
 
-    # Members sorted by class; the classes present, their sizes and offsets.
-    order = np.argsort(kept_labels, kind="stable")
-    sizes = np.bincount(kept_labels)
+    # The kept rows sorted by class, so a sorted position indexes them; the
+    # classes present, their sizes and offsets.
+    order = np.argsort(labels[kept], kind="stable")
+    unit = unit[kept[order]]
+    sizes = np.bincount(labels[kept])
     sizes = sizes[sizes > 0]
     offsets = np.cumsum(sizes) - sizes
     # Positive pairs, lexicographic: sorted position a pairs with each later
@@ -152,19 +157,26 @@ def pair_angles(
     def _positive(ranks):
         row, step = _locate(row_starts, ranks)
         a = rows[row]
-        return order[a], order[a + 1 + step]
+        return a, a + 1 + step
 
     def _negative(ranks):
         block, local = _locate(block_starts, ranks)
         major, minor = np.divmod(local, sizes[c2[block]])
-        return order[offsets[c1[block]] + major], order[offsets[c2[block]] + minor]
+        return offsets[c1[block]] + major, offsets[c2[block]] + minor
+
+    first, second = np.empty((2, PAIR_CHUNK, unit.shape[1]))
 
     def _angles(ranks, unrank):
-        # Each chunk of ranks is unranked just before its rows are gathered.
+        # Chunks of ascending ranks, each unranked just before its rows are
+        # gathered; every cosine goes back to its rank's place in the sample.
+        visit = np.argsort(ranks)
         out = np.empty(ranks.size)
         for s in range(0, ranks.size, PAIR_CHUNK):
-            i, j = unrank(ranks[s:s + PAIR_CHUNK])
-            np.einsum("ij,ij->i", unit[i], unit[j], out=out[s:s + PAIR_CHUNK])
+            chunk = visit[s:s + PAIR_CHUNK]
+            i, j = unrank(ranks[chunk])
+            a = np.take(unit, i, axis=0, out=first[:chunk.size], mode="clip")
+            b = np.take(unit, j, axis=0, out=second[:chunk.size], mode="clip")
+            out[chunk] = np.einsum("ij,ij->i", a, b)
         np.clip(out, -1.0, 1.0, out=out)
         return np.degrees(np.arccos(out, out=out), out=out)
 

@@ -11,7 +11,14 @@ import numpy as np
 from scipy.optimize import linprog
 
 from haseparator import losses
-from haseparator.errors import ConfigError, ShapeError
+from haseparator.data import Dataset, read_text_lines, standardize
+from haseparator.errors import (
+    ConfigError,
+    DataFormatError,
+    NonNumericCellError,
+    RaggedRowError,
+    ShapeError,
+)
 from haseparator.losses import HASEPARATOR, ARCFACE, LossResult, compute_loss
 from haseparator.model import CHECKPOINT_MAGIC, ForwardTrace, ModelGrads
 from haseparator.tensor import EPSILON, as_labels, as_matrix, normalize, normalize_backward
@@ -474,6 +481,50 @@ def per_value_save_delimited(dataset, path):
         for row, label in zip(dataset.features, dataset.labels):
             cells = [format(v, ".17g") for v in row] + [str(int(label))]
             fh.write(",".join(cells) + "\n")
+
+
+def per_row_load_delimited(path):
+    """data.load_delimited as it was before it read the table with
+    np.loadtxt: every cell of every data row through float(), then the same
+    checks and standardize. The reference for the loader's table bits and
+    for its error types and messages, on columns whose variance stays
+    finite: it has no overflow rule."""
+    lines = (ln.strip() for ln in read_text_lines(path, DataFormatError))
+    rows = (ln for ln in lines if ln and not ln.startswith("#"))
+    parsed, width = [], None
+    for lineno, row in enumerate(rows, start=1):
+        cells = row.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise RaggedRowError(
+                f"{path}: row {lineno} has {len(cells)} fields, expected {width}"
+            )
+        try:
+            parsed.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise NonNumericCellError(f"{path}: row {lineno}: {exc}") from exc
+    if not parsed:
+        raise RaggedRowError(f"{path}: no data rows")
+    table = np.array(parsed)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonNumericCellError(
+            f"{path}: row {row + 1}: non-finite value {float(table[row, col])!r} "
+            f"in column {col}"
+        )
+    if table.shape[1] < 2:
+        raise RaggedRowError(f"{path}: need at least 2 columns, got {table.shape[1]}")
+    labels = table[:, -1]
+    if (np.rint(labels) != labels).any():
+        raise NonNumericCellError(f"{path}: the label column is not integral")
+    if labels.min() < 0:
+        raise NonNumericCellError(f"{path}: negative class label {int(labels.min())}")
+    if labels.max() >= len(table):
+        raise NonNumericCellError(f"{path}: class label {int(labels.max())} is not below "
+                                  f"the {len(table)} data rows")
+    return Dataset(standardize(table[:, :-1]), labels, int(labels.max()) + 1)
 
 
 def per_value_save_checkpoint(model, path):

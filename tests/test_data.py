@@ -2,6 +2,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -47,6 +48,7 @@ from helpers import (
     per_value_write_report_csv,
     per_value_write_scores_json,
     per_value_write_sweep_csv,
+    per_row_load_delimited,
 )
 
 # Signed zero, subnormals, the ends of the float range and integral values,
@@ -273,6 +275,94 @@ class TestLoadDelimited:
         with pytest.raises(NonNumericCellError, match=re.escape(f"{path}: row 1: ")):
             load_delimited(path)
 
+    def test_comment_only_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# features, then a label\n\n   \n  # indented\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RaggedRowError, match=re.escape(f"{path}: no data rows")):
+                load_delimited(path)
+
+    @pytest.mark.parametrize("column", [
+        # The sum overflows: the column standardized to nan, and training on
+        # it diverged at step 0.
+        np.random.default_rng(15).uniform(1e308, 1.7e308, 40),
+        # The sum is finite but the squares overflow: the column
+        # standardized to all zeros.
+        np.array([1.5e308, -1.5e308, 1e308, -1e308, 0.5, 0.25]),
+    ], ids=["sum", "squares"])
+    def test_column_that_overflows_when_standardized_rejected(self, tmp_path, capsys, column):
+        rows = column.size
+        features = np.column_stack([column, np.arange(rows) * 0.5])
+        path = tmp_path / "huge.csv"
+        save_delimited(Dataset(features, np.arange(rows) % 2, 2), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonNumericCellError, match=re.escape(f"{path}: column 0 ")):
+                load_delimited(path)
+            code = main(["train", "--dataset", f"file:{path}", "--steps", "2",
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: column 0 ")
+
+
+# Cell texts beside %.17g floats: ones float() and numpy's reader both take,
+# ones only float() takes (digit underscores, non-ASCII digits) and ones
+# neither takes.
+ODD_CELLS = [" +1e5 ", "1_000", "infinity", "nan", "", "0x10", "\u0661\u0662"]
+LABEL_CELLS = ["0", "1", " 2 ", "1.0", "1_0", "\u0661", "nan", "-1", ""]
+# What now and then ends a row: a trailing comma or a "#" inside the row.
+ROW_ENDS = [",", " # note", "#"]
+NON_DATA_LINES = ["", "   ", "\t", "# comment", "  # indented comment"]
+
+
+def _rarely(draw, odd, usual):
+    """One draw from `odd` about one time in eight, else from `usual`, so
+    that most small tables still load."""
+    return draw(st.sampled_from(odd) if draw(st.integers(0, 7)) == 0 else usual)
+
+
+@st.composite
+def mixed_table_text(draw):
+    """The text of a small table whose cells mix %.17g floats with odd cell
+    texts, with ragged rows, row ends, blank lines and comment lines."""
+    width = draw(st.integers(1, 4))
+    # Magnitudes whose sums and squares stay finite: the overflow rule is
+    # tested on its own.
+    float_text = st.floats(-1e150, 1e150).map("%.17g".__mod__)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        lines.extend(draw(st.lists(st.sampled_from(NON_DATA_LINES), max_size=2)))
+        cells = _rarely(draw, range(1, 6), st.just(width))
+        row = [_rarely(draw, ODD_CELLS, float_text) for _ in range(cells - 1)]
+        row.append(_rarely(draw, LABEL_CELLS, st.sampled_from(["0", "1"])))
+        lines.append(",".join(row) + _rarely(draw, ROW_ENDS, st.just("")))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + ending for line in lines)
+
+
+class TestLoaderMatchesPerRowReference:
+    """One numpy read with a per-row fallback against the per-row float()
+    loader: the same table bits, or the same error type and message."""
+
+    @given(text=mixed_table_text())
+    @settings(max_examples=300, deadline=None)
+    def test_same_table_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("mixed") / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            want = per_row_load_delimited(path)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as raised:
+                load_delimited(path)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            return
+        got = load_delimited(path)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.num_classes == want.num_classes
+
 
 def chunk_table(seed=12):
     """A table two ROW_CHUNK blocks and 7 rows long, so every chunk edge is crossed."""
@@ -366,9 +456,18 @@ class TestTextTables:
         save_delimited(dataset, out / "new.csv")
         per_value_save_delimited(dataset, out / "old.csv")
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
-        loaded = load_delimited(out / "new.csv")
-        assert loaded.features.tobytes() == standardize(features).tobytes()
-        assert loaded.labels.tobytes() == labels.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflows = not np.isfinite(features.var(axis=0)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if not overflows:
+                loaded = load_delimited(out / "new.csv")
+                assert loaded.features.tobytes() == standardize(features).tobytes()
+                assert loaded.labels.tobytes() == labels.tobytes()
+            else:  # edge floats whose column sum or squares overflow float64
+                with pytest.raises(NonNumericCellError,
+                                   match=re.escape(f"{out / 'new.csv'}: column ")):
+                    load_delimited(out / "new.csv")
 
         write_embeddings_csv(features, labels, out / "emb.npz")
         write_embeddings_csv(features, labels, out / "again.npz")

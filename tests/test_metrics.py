@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from haseparator import metrics
 from haseparator.errors import ConfigError, LabelError
 from haseparator.metrics import (
     PAIR_CHUNK,
@@ -203,6 +204,25 @@ class TestPairAngleChunks:
         got = pair_angles(e, labels, max_pairs_per_kind=cap, seed=cap)
         for actual, reference in zip(got, expected):
             assert actual.size > 2 * PAIR_CHUNK and actual.size % PAIR_CHUNK
+            assert actual.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize(
+        "counts, cap",
+        [
+            ([30, 30, 30], 500),  # partial permutation
+            ([1500, 1500], 300),  # more than 1e6 pairs: the iid-draw sampler
+        ],
+    )
+    def test_chunk_size_does_not_reach_the_output(self, monkeypatch, chunk, counts, cap):
+        # The angles are computed in rank order and put back in sample order.
+        monkeypatch.setattr(metrics, "PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(sum(counts) + cap)
+        labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        e = rng.normal(size=(labels.size, 5))
+        expected = loop_pair_angles(e, labels, cap, seed=cap)
+        got = pair_angles(e, labels, max_pairs_per_kind=cap, seed=cap)
+        for actual, reference in zip(got, expected):
             assert actual.tobytes() == reference.tobytes()
 
     def test_memory_does_not_grow_with_the_pair_cap(self):
