@@ -18,7 +18,8 @@ from .errors import ConfigError, DataFormatError, NonNumericCellError, RaggedRow
 from .tensor import as_labels, as_matrix, normalize
 
 VARIANCE_FLOOR = 1e-12
-# Rows formatted at once by the text-table writers.
+# Rows formatted at once by the text-table writers, and parsed at once by
+# the loader's per-row fallback.
 ROW_CHUNK = 1024
 
 
@@ -148,8 +149,9 @@ def _data_rows(path) -> Iterator[str]:
 
 def _parse_rows(path, rows) -> np.ndarray:
     """The table with one float() a cell, or the typed error of the first
-    bad data row, numbered from 1."""
-    parsed, width = [], None
+    bad data row, numbered from 1. Rows are parsed ROW_CHUNK at a time into
+    float64 blocks, so no whole-table list of floats exists."""
+    blocks, parsed, width = [], [], None
     for lineno, row in enumerate(rows, start=1):
         cells = row.split(",")  # float() ignores the whitespace around a cell
         if width is None:
@@ -162,7 +164,12 @@ def _parse_rows(path, rows) -> np.ndarray:
             parsed.append([float(c) for c in cells])
         except ValueError as exc:
             raise NonNumericCellError(f"{path}: row {lineno}: {exc}") from exc
-    return np.array(parsed)
+        if len(parsed) == ROW_CHUNK:
+            blocks.append(np.array(parsed))
+            parsed = []
+    if parsed:
+        blocks.append(np.array(parsed))
+    return np.concatenate(blocks)
 
 
 def load_delimited(path) -> Dataset:

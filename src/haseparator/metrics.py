@@ -68,10 +68,17 @@ def _pair_rank_sample(total: int, cap: int, rng) -> np.ndarray:
         return rng.permutation(total)[:cap].astype(np.int64)
     chosen = np.array([], dtype=np.int64)
     while chosen.size < cap:
-        draw = rng.integers(0, total, size=2 * (cap - chosen.size) + 16)
         # Sorted distinct values, as np.union1d gives, without its hash pass.
-        merged = np.sort(np.concatenate([chosen, draw]))
-        chosen = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+        # A round holds one array of picks and one mask at a time.
+        draw = rng.integers(0, total, size=2 * (cap - chosen.size) + 16)
+        chosen = np.concatenate([chosen, draw])
+        del draw
+        chosen.sort()
+        distinct = np.empty(chosen.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(chosen[1:], chosen[:-1], out=distinct[1:])
+        chosen = chosen[distinct]
+        del distinct
     return chosen[rng.permutation(chosen.size)[:cap]]
 
 
@@ -180,7 +187,9 @@ def pair_angles(
         np.clip(out, -1.0, 1.0, out=out)
         return np.degrees(np.arccos(out, out=out), out=out)
 
-    return _angles(pos_ranks, _positive), _angles(neg_ranks, _negative)
+    pos = _angles(pos_ranks, _positive)
+    del pos_ranks
+    return pos, _angles(neg_ranks, _negative)
 
 
 def build_histograms(pos_angles, neg_angles, num_bins: int = DEFAULT_BINS) -> AngleHistograms:

@@ -175,6 +175,7 @@ def evaluate_model(
     embeddings = forward(model, dataset.features).embeddings
     cosines = normalize(embeddings, 1)[0] @ normalize(model.class_weights, 0)[0]
     acc = accuracy(cosines, dataset.labels)
+    del cosines  # rows x C, not needed while the pairs are scored
     pos, neg = pair_angles(embeddings, dataset.labels, max_pairs_per_kind=max_pairs, seed=seed)
     hist = build_histograms(pos, neg, num_bins=bins)
     scores = DiscriminationScores(d_kl=kl_divergence(hist), d_em=emd_1d(hist), accuracy=acc)

@@ -366,6 +366,23 @@ def _loop_rank_sample(total: int, cap: int, rng) -> np.ndarray:
     return chosen[rng.permutation(chosen.size)[:cap]]
 
 
+def merged_rank_sample(total: int, cap: int, rng) -> np.ndarray:
+    """Distinct-rank sampling with every round's draw, sorted copy, masks and
+    merged picks alive until the final permutation (the library's sampler
+    before its rounds held one array at a time)."""
+    if cap >= total:
+        return np.arange(total, dtype=np.int64)
+    if total <= max(4 * cap, 1_000_000):
+        return rng.permutation(total)[:cap].astype(np.int64)
+    chosen = np.array([], dtype=np.int64)
+    while chosen.size < cap:
+        draw = rng.integers(0, total, size=2 * (cap - chosen.size) + 16)
+        # Sorted distinct values, as np.union1d gives, without its hash pass.
+        merged = np.sort(np.concatenate([chosen, draw]))
+        chosen = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+    return chosen[rng.permutation(chosen.size)[:cap]]
+
+
 def _unrank_within_class(ranks, members):
     """Map pair ranks to (i, j) index pairs within one class, lexicographic order."""
     n = members.size

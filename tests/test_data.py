@@ -425,6 +425,27 @@ class TestFilePathMemory:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_fallback_load_does_not_hold_the_text(self, tmp_path):
+        # The same table with one "1_000" cell, which numpy refuses and
+        # float() takes, in its last row: numpy reads the whole table before
+        # it fails, then the per-row fallback reads it again. A whole-table
+        # list of Python floats traced 7.0 MiB; float64 blocks of ROW_CHUNK
+        # rows trace 3.6 MiB.
+        rng = np.random.default_rng(13)
+        path = tmp_path / "data.csv"
+        save_delimited(Dataset(rng.normal(size=(5000, 32)), np.arange(5000) % 50, 50), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1] = "1_000," + lines[-1].split(",", 1)[1]
+        path.write_text("".join(lines))
+        tracemalloc.start()
+        try:
+            loaded = load_delimited(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.features.shape == (5000, 32)
+        assert peak < 5 * 2**20
+
     def test_write_rows_does_not_hold_the_table_as_floats(self):
         # 8000 x 64 embeddings (4 MB): one tolist() of the whole table traced
         # 16.2 MiB; formatting ROW_CHUNK rows at a time traces 2.1 MiB.

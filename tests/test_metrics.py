@@ -24,7 +24,7 @@ from haseparator.metrics import (
     write_histogram_csv,
     write_scores_json,
 )
-from helpers import loop_pair_angles, transport_cost
+from helpers import loop_pair_angles, merged_rank_sample, transport_cost
 
 counts_strategy = st.lists(st.integers(0, 50), min_size=2, max_size=16)
 
@@ -228,7 +228,9 @@ class TestPairAngleChunks:
     def test_memory_does_not_grow_with_the_pair_cap(self):
         # Gathering both rows of all 200 000 pairs at once traces ~227 MB, and
         # unranking every pair before the chunked gathers ~31 MiB; unranking
-        # each chunk just before its gather traces ~20 MiB.
+        # each chunk just before its gather traced 19.6 MiB. With one array
+        # per round of the iid-draw sampler and the positive ranks dropped
+        # before the negatives are scored, it traces ~14.8 MiB.
         rng = np.random.default_rng(8)
         e = rng.normal(size=(8000, 64))
         labels = np.repeat(np.arange(50), 160)
@@ -238,7 +240,58 @@ class TestPairAngleChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 16 * 2**20
+
+
+class RepeatingRng:
+    """A Generator whose integers() gives each draw four times in a row, so
+    that a round of the iid-draw sampler finds too few distinct ranks and
+    draws again. It counts those calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.calls = 0
+
+    def integers(self, low, high, size):
+        self.calls += 1
+        return np.repeat(self._rng.integers(low, high, size=-(-size // 4)), 4)[:size]
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+
+class TestRankSampler:
+    """The rank sampler against the merged-round reference: the same ranks
+    and the same rng state after the call."""
+
+    @given(
+        total=st.one_of(st.integers(1, 5000), st.integers(1_000_001, 10**12)),
+        cap=st.integers(1, 6000),
+        seed=st.integers(0, 2**32 - 1),
+        repeating=st.booleans(),
+    )
+    @example(total=1_000_000, cap=1000, seed=0, repeating=False)  # the largest permutation
+    @example(total=1_000_001, cap=1000, seed=0, repeating=True)  # the smallest iid draw
+    @example(total=40, cap=40, seed=0, repeating=False)  # every rank
+    @settings(max_examples=200, deadline=None)
+    def test_same_ranks_and_rng_state_as_reference(self, total, cap, seed, repeating):
+        rng, reference = (
+            (RepeatingRng(seed), RepeatingRng(seed)) if repeating
+            else (np.random.default_rng(seed), np.random.default_rng(seed))
+        )
+        got = metrics._pair_rank_sample(total, cap, rng)
+        want = merged_rank_sample(total, cap, reference)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_repeated_draws_take_more_rounds(self):
+        rng, reference = RepeatingRng(5), RepeatingRng(5)
+        got = metrics._pair_rank_sample(10**9, 5000, rng)
+        assert rng.calls >= 2
+        assert got.tobytes() == merged_rank_sample(10**9, 5000, reference).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestBuildHistograms:

@@ -201,22 +201,28 @@ class TestInPlaceUpdate:
         # 72 rows in batches of 16: each epoch ends on a batch of 8, which
         # reuses the first rows of the full batches' arrays. sigma 1e300
         # diverges after the first step; the stack then drops that run and
-        # rebuilds its step arrays.
-        data = blob_train_set(per_class=30, dim=4)
+        # rebuilds its step arrays. The runs share one dataset, then have
+        # their own: the last run's rows must still come from its own
+        # dataset once the middle one is gone.
+        shared = blob_train_set(per_class=30, dim=4)
+        own = [blob_train_set(seed=s, per_class=30, dim=4) for s in range(3)]
         configs = [
             TrainConfig(steps=12, batch_size=16, base_lr=5.0,
                         loss=LossConfig(loss_kind="haseparator", sigma=sigma, margin=0.5))
             for sigma in (3.0, 1e300, 5.0)
         ]
-        models = [init_model((data.dim, 8, 6), data.num_classes, seed=50 + k) for k in range(3)]
-        with np.errstate(all="ignore"):
-            reports = train(models, [data] * 3, configs, [60, 61, 62])
-        assert isinstance(reports[1], DivergenceError)
-        assert int(re.search(r"at step (\d+)", str(reports[1])).group(1)) > 0
-        for k in (0, 2):
-            alone = train(models[k], data, configs[k], 60 + k)
-            assert parameter_bytes(reports[k].final_model) == parameter_bytes(alone.final_model)
-            assert repr(reports[k].records) == repr(alone.records)
+        for data in ([shared] * 3, own):
+            models = [init_model((d.dim, 8, 6), d.num_classes, seed=50 + k)
+                      for k, d in enumerate(data)]
+            with np.errstate(all="ignore"):
+                reports = train(models, data, configs, [60, 61, 62])
+            assert isinstance(reports[1], DivergenceError)
+            assert int(re.search(r"at step (\d+)", str(reports[1])).group(1)) > 0
+            for k in (0, 2):
+                alone = train(models[k], data[k], configs[k], 60 + k)
+                assert parameter_bytes(reports[k].final_model) == parameter_bytes(
+                    alone.final_model)
+                assert repr(reports[k].records) == repr(alone.records)
 
     def test_stack_memory_is_bounded(self):
         # A 25-run separator stack of the margin sweep's shapes over 20
