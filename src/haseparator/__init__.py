@@ -39,6 +39,7 @@ from .metrics import (
 from .model import (
     MlpModel,
     backward,
+    embed,
     forward,
     init_model,
     load_checkpoint,
@@ -88,6 +89,7 @@ __all__ = [
     "build_histograms",
     "compute_loss",
     "emd_1d",
+    "embed",
     "evaluate_model",
     "forward",
     "gaussian_blobs",

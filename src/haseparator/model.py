@@ -5,10 +5,10 @@ with no nonlinearity and produces raw embeddings (normalization happens
 inside the loss). Classification weights are a separate N x C matrix with
 no bias, matching the cosine head.
 
-forward and backward also run a stack of K models at once: every parameter
-then carries a leading run axis (weights K x in x out, biases K x out,
-class weights K x N x C), and so do the inputs (K x B x D). Each run's
-products and sums are the ones its 2-d arrays would get.
+forward, embed and backward also run a stack of K models at once: every
+parameter then carries a leading run axis (weights K x in x out, biases
+K x out, class weights K x N x C), and so do the inputs (K x B x D). Each
+run's products and sums are the ones its 2-d arrays would get.
 """
 
 from __future__ import annotations
@@ -97,12 +97,8 @@ def init_model(layer_dims, num_classes: int, seed) -> MlpModel:
     return MlpModel(dims, weights, biases, class_weights)
 
 
-def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> ForwardTrace:
-    """Run the MLP body; the last layer is affine with no rectifier.
-
-    Given out, an earlier trace, forward writes into those of its arrays
-    whose shapes fit and returns it, with the values of a fresh trace.
-    """
+def _check_inputs(model: MlpModel, inputs) -> np.ndarray:
+    """inputs as a float64 array that fits the model's first layer and run stack."""
     x = as_matrix(inputs, stack=True)
     if x.shape[-1] != model.layer_dims[0]:
         raise ShapeError(
@@ -110,6 +106,16 @@ def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> Forward
         )
     if x.shape[:-2] != model.class_weights.shape[:-2]:
         raise ShapeError(f"inputs of shape {x.shape} do not match the model's run stack")
+    return x
+
+
+def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> ForwardTrace:
+    """Run the MLP body; the last layer is affine with no rectifier.
+
+    Given out, an earlier trace, forward writes into those of its arrays
+    whose shapes fit and returns it, with the values of a fresh trace.
+    """
+    x = _check_inputs(model, inputs)
     trace = ForwardTrace(inputs=x) if out is None else out
     trace.inputs = activation = x
     last = len(model.weights) - 1
@@ -128,6 +134,20 @@ def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> Forward
     trace.activations[last:] = [z]
     trace.embeddings = z
     return trace
+
+
+def embed(model: MlpModel, inputs) -> np.ndarray:
+    """The embeddings of forward(model, inputs), bit for bit, holding only
+    the current layer's arrays: no trace is kept for a backward pass."""
+    activation = _check_inputs(model, inputs)
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        # Out of place, as forward adds the bias: an in-place add into a
+        # one-entry array can return the bias's NaN instead of the product's.
+        activation = np.matmul(activation, w) + b[..., None, :]
+        if i < last:
+            np.maximum(activation, 0.0, out=activation)
+    return activation
 
 
 def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings, out=None) -> ModelGrads:

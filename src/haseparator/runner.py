@@ -52,7 +52,9 @@ from .metrics import (
     write_histogram_csv,
     write_scores_json,
 )
-from .model import MlpModel, forward, init_model, save_checkpoint
+# forward is not called here, but perfbench's tracer pins runner.forward;
+# dropping it belongs to ROADMAP item 1's benchmark change.
+from .model import MlpModel, embed, forward, init_model, save_checkpoint
 from .tensor import normalize
 from .trainer import TrainConfig, TrainReport, train, write_report_csv
 
@@ -170,9 +172,10 @@ def evaluate_model(
     max_pairs: int = DEFAULT_MAX_PAIRS,
     seed=0,
 ) -> tuple[AngleHistograms, DiscriminationScores, np.ndarray]:
-    """Embed a split and score it: accuracy as the argmax of the cosines,
-    D_KL and D_EM from the positive/negative pair-angle histograms."""
-    embeddings = forward(model, dataset.features).embeddings
+    """Embed a split without a backward trace and score it: accuracy as the
+    argmax of the cosines, D_KL and D_EM from the positive/negative
+    pair-angle histograms."""
+    embeddings = embed(model, dataset.features)
     cosines = normalize(embeddings, 1)[0] @ normalize(model.class_weights, 0)[0]
     acc = accuracy(cosines, dataset.labels)
     del cosines  # rows x C, not needed while the pairs are scored

@@ -5,18 +5,19 @@ and backward write into reused arrays, and _cross_entropy takes its class
 max on a class-major copy. tests/helpers.py keeps the expressions they
 replaced. The library must give the same bytes on 2-d and stacked inputs
 with zero vectors, norms at or below EPSILON, NaN and inf entries, signed
-zeros and +-1e300.
+zeros and +-1e300. embed, the evaluation pass, must give forward's
+embeddings byte for byte.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from haseparator import losses
-from haseparator.model import MlpModel, ModelGrads, backward, forward
+from haseparator.model import MlpModel, ModelGrads, backward, embed, forward, init_model
 from haseparator.tensor import EPSILON, normalize, normalize_backward
 from haseparator.trainer import _unpack
 from helpers import (
@@ -162,3 +163,32 @@ def test_forward_into_a_reused_trace_equals_a_fresh_one(net, data):
         assert_grads_same(backward(model, trace, upstream),
                           reference_backward(model, reference_forward(model, inputs), upstream))
         assert [id(a) for a in trace.deltas] == arrays[2 * len(model.weights):]
+
+
+def one_entry_net(dims, runs=None):
+    """Batch 1 and width 1 throughout: inf inputs times zero weights give a
+    NaN product, to which a NaN bias is added (of the other sign on x86)."""
+    stack = () if runs is None else (runs,)
+    model = MlpModel(dims, [np.zeros((*stack, 1, 1)) for _ in dims[1:]],
+                     [np.full((*stack, 1), np.nan) for _ in dims[1:]], np.ones((*stack, 1, 3)))
+    return model, np.full((*stack, 1, 1), np.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nets())
+@example(one_entry_net((1, 1)))
+@example(one_entry_net((1, 1, 1)))
+@example(one_entry_net((1, 1, 1), runs=1))
+def test_embed_matches_forward(net):
+    model, inputs = net
+    with np.errstate(all="ignore"):
+        assert_same(embed(model, inputs), forward(model, inputs).embeddings)
+
+
+def test_embed_matches_forward_on_a_whole_split():
+    rng = np.random.default_rng(3)
+    model = init_model((32, 32, 32, 64), 5, seed=3)
+    for b in model.biases:
+        b[:] = rng.normal(size=b.shape)
+    inputs = rng.normal(size=(8000, 32))
+    assert_same(embed(model, inputs), forward(model, inputs).embeddings)
