@@ -40,23 +40,24 @@ from .errors import (
     ShapeError,
 )
 from .losses import LOSS_KINDS
-from .metrics import write_histogram_csv, write_scores_json
 from .model import load_checkpoint
 from .runner import (
     CONFIG_COMMENT,
+    SPLITS,
     ExperimentConfig,
     SweepConfig,
     build_datasets,
     config_fields,
     default_seeds,
     derive_seeds,
-    evaluate_model,
+    evaluate_model,  # not called here, but perfbench's tracer pins cli.evaluate_model
+    evaluate_splits,
     field_parser,
     read_sweep_csv,
     run_experiment,
     run_sweep,
     write_config_echo,
-    write_embeddings_csv,
+    write_embeddings_csv,  # not called here, but perfbench's tracer pins cli.write_embeddings_csv
     write_sweep_csv,
 )
 
@@ -192,7 +193,7 @@ def cmd_train(args) -> int:
     config, values = _config(args, "train")
     out = _required(values, "out")
     result = run_experiment(config, out_dir=out)
-    for split in ("train", "test"):
+    for split in SPLITS:
         _print_scores(split, result.scores[split])
     print(f"artifacts written to {out}")
     return 0
@@ -218,8 +219,7 @@ def cmd_eval(args) -> int:
     out = _required(values, "out")
     model = load_checkpoint(checkpoint_path)
 
-    seeds = derive_seeds(config.seed)
-    train_data, test_data = build_datasets(config.dataset, seeds["data"])
+    train_data, test_data = build_datasets(config.dataset, derive_seeds(config.seed)["data"])
     if train_data.dim != model.layer_dims[0]:
         raise ShapeError(
             f"checkpoint expects input dim {model.layer_dims[0]}, dataset has {train_data.dim}"
@@ -228,20 +228,9 @@ def cmd_eval(args) -> int:
         raise ShapeError(
             f"checkpoint expects {model.num_classes} classes, dataset has {train_data.num_classes}"
         )
-
-    os.makedirs(out, exist_ok=True)
-    for split, dataset in (("train", train_data), ("test", test_data)):
-        hist, scores, embeddings = evaluate_model(
-            model,
-            dataset,
-            bins=config.bins,
-            max_pairs=config.max_pairs,
-            seed=seeds[f"eval_{split}"],
-        )
-        write_histogram_csv(hist, os.path.join(out, f"hist_{split}.csv"))
-        write_scores_json(scores, os.path.join(out, f"scores_{split}.json"))
-        write_embeddings_csv(embeddings, dataset.labels, os.path.join(out, f"embeddings_{split}.npz"))
-        _print_scores(split, scores)
+    scores = evaluate_splits(model, config, (train_data, test_data), out_dir=out)[1]
+    for split in SPLITS:
+        _print_scores(split, scores[split])
     return 0
 
 

@@ -4,7 +4,8 @@ A single experiment is fully described by an ExperimentConfig; its master
 seed feeds a SeedSequence that derives independent streams for dataset
 generation, weight init, batch shuffling, and pair sampling, so runs are
 reproducible end to end and two losses given the same seed see the same
-data.
+data. train, eval and sweeps all score splits through evaluate_splits, which
+writes no split's files until every split it was given has scored.
 
 Sweeps cross losses x sigmas x margins x seeds and never drop failed cells.
 A sweep trains each distinct ExperimentConfig once, so cells that differ
@@ -201,21 +202,35 @@ def _setup(config: ExperimentConfig, datasets: dict):
     return seeds, (train_data, test_data), model
 
 
+def evaluate_splits(model: MlpModel, config: ExperimentConfig, data, splits=SPLITS,
+                    out_dir=None) -> tuple[dict, dict]:
+    """Score the named splits of data, a (train, test) pair, each with its pair
+    seed from config.seed; return (hists, scores) by split. Once all have
+    scored, write their hist_, scores_ and embeddings_ files to out_dir."""
+    seeds = derive_seeds(config.seed)
+    datasets = dict(zip(SPLITS, data))
+    hists, scores, embeddings = {}, {}, {}
+    for split in splits:
+        hists[split], scores[split], embeddings[split] = evaluate_model(
+            model, datasets[split], bins=config.bins, max_pairs=config.max_pairs,
+            seed=seeds[f"eval_{split}"],
+        )
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        join = lambda name: os.path.join(out_dir, name)
+        for split in splits:
+            write_histogram_csv(hists[split], join(f"hist_{split}.csv"))
+            write_scores_json(scores[split], join(f"scores_{split}.json"))
+            write_embeddings_csv(embeddings[split], datasets[split].labels,
+                                 join(f"embeddings_{split}.npz"))
+    return hists, scores
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Train one model and evaluate both splits; write artifacts when asked."""
     seeds, data, model = _setup(config, {})
     report = train(model, data[0], config.train, seeds["train"])
-    hists: dict[str, AngleHistograms] = {}
-    scores: dict[str, DiscriminationScores] = {}
-    embeddings: dict[str, np.ndarray] = {}
-    for split, dataset in zip(SPLITS, data):
-        hists[split], scores[split], embeddings[split] = evaluate_model(
-            report.final_model,
-            dataset,
-            bins=config.bins,
-            max_pairs=config.max_pairs,
-            seed=seeds[f"eval_{split}"],
-        )
+    hists, scores = evaluate_splits(report.final_model, config, data, out_dir=out_dir)
     result = ExperimentResult(
         config=config,
         train_data=data[0],
@@ -226,7 +241,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         scores=scores,
     )
     if out_dir is not None:
-        write_experiment_artifacts(result, embeddings, out_dir)
+        write_experiment_artifacts(result, out_dir)
     return result
 
 
@@ -274,17 +289,12 @@ def write_config_echo(config, path) -> None:
             fh.write(f"{key}={text}\n")
 
 
-def write_experiment_artifacts(result: ExperimentResult, embeddings, out_dir) -> None:
+def write_experiment_artifacts(result: ExperimentResult, out_dir) -> None:
+    """A run's report.csv, checkpoint.txt and config.txt; evaluate_splits writes the rest."""
     os.makedirs(out_dir, exist_ok=True)
-    join = lambda name: os.path.join(out_dir, name)
-    write_report_csv(result.report, join("report.csv"))
-    save_checkpoint(result.model, join("checkpoint.txt"))
-    write_config_echo(result.config, join("config.txt"))
-    for split in SPLITS:
-        write_histogram_csv(result.hists[split], join(f"hist_{split}.csv"))
-        write_scores_json(result.scores[split], join(f"scores_{split}.json"))
-        labels = (result.train_data if split == "train" else result.test_data).labels
-        write_embeddings_csv(embeddings[split], labels, join(f"embeddings_{split}.npz"))
+    write_report_csv(result.report, os.path.join(out_dir, "report.csv"))
+    save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.txt"))
+    write_config_echo(result.config, os.path.join(out_dir, "config.txt"))
 
 
 @dataclass
@@ -408,14 +418,14 @@ def _run_stack(configs) -> list[tuple]:
             # returns per run): train each run alone, so it fails only its own.
             reports = [_train_alone(*run) for run in zip(*args)]
     times = [(time.perf_counter() - start) / len(configs)] * len(configs)
-    for (i, seeds, data, _), report in zip(runs, reports):
+    for (i, _, data, _), report in zip(runs, reports):
         if isinstance(report, Exception):
             outcomes[i] = _error_text(report)
             continue
         start = time.perf_counter()
         try:
-            test = evaluate_model(report.final_model, data[1], bins=configs[i].bins,
-                                  max_pairs=configs[i].max_pairs, seed=seeds["eval_test"])[1]
+            _, scores = evaluate_splits(report.final_model, configs[i], data, splits=("test",))
+            test = scores["test"]
             final_c_t = report.records[-1].c_sep if report.records else math.nan
             outcomes[i] = (test.accuracy, test.d_kl, test.d_em, final_c_t)
         except Exception as exc:

@@ -213,6 +213,29 @@ class TestEval:
                      "hist_test.csv", "embeddings_test.npz"):
             assert (out / name).read_bytes() == (trained / name).read_bytes()
 
+    def test_unscorable_split_writes_no_split_files(self, tmp_path, capsys):
+        # 4 rows a class: at the default train fraction the test split holds
+        # one row of each class, so it has no positive pairs to score.
+        table = tmp_path / "small.csv"
+        rng = np.random.default_rng(0)
+        save_delimited(Dataset(rng.normal(size=(12, 3)), np.arange(12) % 3, 3, "all"), table)
+        dataset = ["--dataset", f"file:{table}"]
+        model = [*dataset, "--hidden-dims", "8", "--embedding-dim", "4", "--steps", "5"]
+        trained = tmp_path / "trained"
+        code, _, _ = run_cli(["train", *model, "--train-fraction", "0.5",
+                              "--out", str(trained)], capsys)
+        assert code == 0
+        runs = {"eval": [*dataset, "--checkpoint", str(trained / "checkpoint.txt")],
+                "train": model}
+        for command, args in runs.items():
+            out = tmp_path / command
+            code, _, err = run_cli([command, *args, "--out", str(out)], capsys)
+            assert code == 2
+            assert "no positive pairs" in err
+            written = [p.name for p in out.glob("*")
+                       if p.name.startswith(("hist_", "scores_", "embeddings_"))]
+            assert written == []
+
     def test_negative_seed_rejected_before_the_evaluation(self, tmp_path, capsys):
         trained = self.train_once(tmp_path, capsys)
         out = tmp_path / "eval"
