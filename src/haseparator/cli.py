@@ -47,6 +47,7 @@ from .runner import (
     ExperimentConfig,
     SweepConfig,
     build_datasets,
+    check_splits,
     config_fields,
     default_seeds,
     derive_seeds,
@@ -228,6 +229,7 @@ def cmd_eval(args) -> int:
         raise ShapeError(
             f"checkpoint expects {model.num_classes} classes, dataset has {train_data.num_classes}"
         )
+    check_splits(config, (train_data, test_data))
     scores = evaluate_splits(model, config, (train_data, test_data), out_dir=out)[1]
     for split in SPLITS:
         _print_scores(split, scores[split])

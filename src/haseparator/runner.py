@@ -186,17 +186,36 @@ def evaluate_model(
     return hist, scores, embeddings
 
 
-def _setup(config: ExperimentConfig, datasets: dict):
+def check_splits(config: ExperimentConfig, data, splits=SPLITS) -> None:
+    """Raise ConfigError unless each named split of data, a (train, test)
+    pair, has pairs to score: at least 2 classes and a class with 2 rows."""
+    datasets = dict(zip(SPLITS, data))
+    for split in splits:
+        sizes = np.bincount(datasets[split].labels)
+        classes = np.count_nonzero(sizes)
+        if classes < 2 or sizes.max() < 2:
+            kind = "positive" if sizes.max() < 2 else "negative"
+            hint = (f"--train-fraction {config.dataset.train_fraction} splits the table"
+                    if config.dataset.kind.startswith(FILE_PREFIX) else "raise --per-class")
+            raise ConfigError(
+                f"the {split} split has {len(datasets[split])} rows in {classes} classes, so "
+                f"no {kind} pairs to score: it needs 2 classes and a class with 2 rows; {hint}"
+            )
+
+
+def _setup(config: ExperimentConfig, datasets: dict, splits=SPLITS):
     """A run's seeds, its (train, test) datasets and its initial model.
 
     datasets caches the splits by data config and data seed, so runs that
-    share them share one feature array.
+    share them share one feature array. The splits to be scored are
+    checked with check_splits.
     """
     seeds = derive_seeds(config.seed)
     key = (config.dataset, seeds["data"])
     if key not in datasets:
         datasets[key] = build_datasets(config.dataset, seeds["data"])
     train_data, test_data = datasets[key]
+    check_splits(config, (train_data, test_data), splits)
     layer_dims = (train_data.dim, *config.hidden_dims, config.embedding_dim)
     model = init_model(layer_dims, train_data.num_classes, seeds["init"])
     return seeds, (train_data, test_data), model
@@ -399,7 +418,7 @@ def _run_stack(configs) -> list[tuple]:
     runs = []
     for i, config in enumerate(configs):
         try:
-            runs.append((i, *_setup(config, datasets)))
+            runs.append((i, *_setup(config, datasets, splits=("test",))))
         except Exception as exc:
             outcomes[i] = _error_text(exc)
     reports: list = []
@@ -426,7 +445,7 @@ def _run_stack(configs) -> list[tuple]:
         try:
             _, scores = evaluate_splits(report.final_model, configs[i], data, splits=("test",))
             test = scores["test"]
-            final_c_t = report.records[-1].c_sep if report.records else math.nan
+            final_c_t = float(report.history[-1, 3]) if len(report.history) else math.nan
             outcomes[i] = (test.accuracy, test.d_kl, test.d_em, final_c_t)
         except Exception as exc:
             outcomes[i] = _error_text(exc)

@@ -10,7 +10,7 @@ reproducible, alone or in a stack of runs trained together.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,8 +69,16 @@ class StepRecord:
 
 @dataclass
 class TrainReport:
-    records: list[StepRecord]
+    """A run's trained model and its history: a (steps, 5) float64 array
+    whose row i holds step i's lr, c_all, c_ce, c_sep and train_acc."""
+
+    history: np.ndarray
     final_model: MlpModel
+
+    @property
+    def records(self) -> list[StepRecord]:
+        """The history as StepRecords, made when read; a step is its row index."""
+        return [StepRecord(step, *row) for step, row in enumerate(self.history.tolist())]
 
 
 def sgd_step(params, grads, velocities, lr, momentum, weight_decay) -> None:
@@ -167,7 +175,9 @@ def train(model, dataset, config, seed):
     steps: dict = {}
     rngs = [np.random.default_rng(s) for s in seeds]
     alive = list(range(len(models)))
-    records: list[list[StepRecord]] = [[] for _ in models]
+    # history[run, step]: the step's lr, c_all, c_ce, c_sep and train_acc.
+    # rows picks the alive runs, a basic slice until a run leaves.
+    history, rows = np.empty((len(models), total_steps, 5)), slice(None)
     outcomes: list = [None] * len(models)
     batches = -(-size // first.batch_size)
 
@@ -183,13 +193,16 @@ def train(model, dataset, config, seed):
             np.take(datasets[run].labels, idx[k], out=batch_y[k], mode="clip")
         forward(net, pick(batch_x), trace)
         result = compute_loss(trace.embeddings, net.class_weights, pick(batch_y), loss)
-        values = np.stack(
-            np.broadcast_arrays(result.total_loss, result.ce_loss, result.separator_loss),
-            axis=-1,
-        ).reshape(-1, 3)  # c_all, c_ce, c_sep of each run
-        finite = np.isfinite(values[:, 0])
+        lr = lr_at(step, first)
+        acc = accuracy(result.logits, pick(batch_y))
+        # A single run's values are scalars, and so is a margin-free stack's c_sep.
+        for column, value in enumerate(
+            (lr, result.total_loss, result.ce_loss, result.separator_loss, acc)
+        ):
+            history[rows, step, column] = value
+        finite = np.isfinite(history[rows, step, 1])
         for k in np.flatnonzero(~finite):
-            c_all, c_ce, c_sep = values[k].tolist()
+            c_all, c_ce, c_sep = history[alive[k], step, 1:4].tolist()
             error = DivergenceError(
                 f"training diverged at step {step}: total loss {c_all}, "
                 f"cross-entropy {c_ce}, separator {c_sep}"
@@ -199,17 +212,14 @@ def train(model, dataset, config, seed):
             outcomes[alive[k]] = error
         backward(net, trace, result.grad_embeddings, ModelGrads(grads.weights, grads.biases))
         np.copyto(grads.class_weights, result.grad_weights)
-        lr = lr_at(step, first)
         sgd_step(params, grad, velocities, lr, first.momentum, first.weight_decay)
 
-        train_acc = np.reshape(accuracy(result.logits, pick(batch_y)), -1).tolist()
-        for run, run_losses, acc in zip(alive, values.tolist(), train_acc):
-            records[run].append(StepRecord(step, lr, *run_losses, acc))
         if not finite.all():
             # The diverged runs leave after their step; the others keep its results.
             alive = [run for run, ok in zip(alive, finite) if ok]
             if not alive:
                 break
+            rows = np.array(alive)
             params, velocities, orders = params[finite], velocities[finite], orders[finite]
             grad = np.empty_like(params)
             net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
@@ -219,7 +229,7 @@ def train(model, dataset, config, seed):
 
     for k, run in enumerate(alive):
         final = _unpack(params[k : k + 1].copy(), layer_dims, shapes, lambda a: a[0])
-        outcomes[run] = TrainReport(records=records[run], final_model=final)
+        outcomes[run] = TrainReport(history=history[run], final_model=final)
     return outcomes if stacked else outcomes[0]
 
 
@@ -246,9 +256,10 @@ def _parameters(model: MlpModel) -> list[np.ndarray]:
 
 def write_report_csv(report: TrainReport, path) -> None:
     """One CRLF-terminated row per step; the columns are StepRecord's fields,
-    in order, an int field as %d and a float field as %.17g."""
-    columns = fields(StepRecord)
-    line = ",".join("%d" if f.type == "int" else "%.17g" for f in columns) + "\r\n"
+    in order: the step (its history row index) as %d, then the history
+    columns as %.17g."""
+    columns = [f.name for f in fields(StepRecord)]
+    line = "%d" + ",%.17g" * (len(columns) - 1) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(f.name for f in columns) + "\r\n")
-        fh.writelines(line % astuple(r) for r in report.records)
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(line % (step, *row) for step, row in enumerate(report.history.tolist()))

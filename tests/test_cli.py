@@ -236,6 +236,48 @@ class TestEval:
                        if p.name.startswith(("hist_", "scores_", "embeddings_"))]
             assert written == []
 
+    def test_unscorable_split_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        # The same 12-row, 3-class table: at the default train fraction its
+        # test split holds 3 rows, one of each class. train, eval and each
+        # sweep row fail on it, naming the split, before any training.
+        table = tmp_path / "small.csv"
+        rng = np.random.default_rng(0)
+        save_delimited(Dataset(rng.normal(size=(12, 3)), np.arange(12) % 3, 3, "all"), table)
+        dataset = ["--dataset", f"file:{table}"]
+        trained = tmp_path / "trained"
+        code, _, _ = run_cli(["train", *dataset, "--train-fraction", "0.5", "--steps", "5",
+                              "--out", str(trained)], capsys)
+        assert code == 0
+
+        def trainer_called(*args):
+            raise AssertionError("the trainer was called")
+
+        monkeypatch.setattr(runner, "train", trainer_called)
+        named = "the test split has 3 rows in 3 classes, so no positive pairs"
+        runs = {"train": [*dataset, "--steps", "5"],
+                "eval": [*dataset, "--checkpoint", str(trained / "checkpoint.txt")]}
+        for command, args in runs.items():
+            out = tmp_path / command
+            code, _, err = run_cli([command, *args, "--out", str(out)], capsys)
+            assert code == 2
+            assert named in err and "--train-fraction 0.8" in err
+            assert not out.exists()
+        with pytest.raises(ConfigError, match="test split has 5 rows in 5 classes.*--per-class"):
+            runner.run_experiment(ExperimentConfig(dataset=DatasetConfig(per_class=5),
+                                                   train=TrainConfig(steps=5)))
+        sweep = SweepConfig(losses=("softmax", "haseparator"), seeds=(0, 1), experiment=(
+            ExperimentConfig(dataset=DatasetConfig(kind=f"file:{table}"),
+                             train=TrainConfig(steps=5))))
+        records = runner.run_sweep(sweep)
+        assert len(records) == 4
+        assert all(r.error.startswith(f"ConfigError: {named}") for r in records)
+        assert all("--train-fraction 0.8" in r.error for r in records)
+        # A class of one row stays in the train split: the test split has one class.
+        save_delimited(Dataset(rng.normal(size=(11, 3)), np.arange(11) // 10, 2, "all"), table)
+        with pytest.raises(ConfigError, match="test split has 2 rows in 1 classes, so no negative"):
+            runner.run_experiment(ExperimentConfig(dataset=DatasetConfig(kind=f"file:{table}"),
+                                                   train=TrainConfig(steps=5)))
+
     def test_negative_seed_rejected_before_the_evaluation(self, tmp_path, capsys):
         trained = self.train_once(tmp_path, capsys)
         out = tmp_path / "eval"

@@ -130,6 +130,30 @@ def reference_train(model, data, config, seed):
     return model, records
 
 
+def sweep_stack(steps):
+    """Models, datasets and configs of a 25-run separator stack of the
+    margin sweep's shapes; run k trains with seed k."""
+    data = [gaussian_blobs(5, 60, 16, center_radius=3.0, stddev=1.3, seed=s)[0]
+            for s in range(5)]
+    models = [init_model((16, 32, 32, 16), 5, seed=k) for k in range(25)]
+    configs = [TrainConfig(steps=steps, batch_size=64,
+                           loss=LossConfig(sigma=5.0, margin=0.1 * (1 + k % 10)))
+               for k in range(25)]
+    return models, [data[k % 5] for k in range(25)], configs
+
+
+def traced_sweep_stack(steps):
+    """(tracemalloc peak, reports) of training sweep_stack(steps) as one stack."""
+    models, data, configs = sweep_stack(steps)
+    tracemalloc.start()
+    try:
+        reports = train(models, data, configs, list(range(25)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, reports
+
+
 def parameter_bytes(model) -> list[bytes]:
     return [p.tobytes() for p in (*model.weights, *model.biases, model.class_weights)]
 
@@ -223,24 +247,27 @@ class TestInPlaceUpdate:
                 assert parameter_bytes(reports[k].final_model) == parameter_bytes(
                     alone.final_model)
                 assert repr(reports[k].records) == repr(alone.records)
+                assert reports[k].history.tobytes() == alone.history.tobytes()
 
     def test_stack_memory_is_bounded(self):
         # A 25-run separator stack of the margin sweep's shapes over 20
-        # steps peaks at 5.9 MB under tracemalloc (6.7 MB when each step
-        # allocated its own arrays); the bound is 1.25 times that.
-        data = [gaussian_blobs(5, 60, 16, center_radius=3.0, stddev=1.3, seed=s)[0]
-                for s in range(5)]
-        models = [init_model((16, 32, 32, 16), 5, seed=k) for k in range(25)]
-        configs = [TrainConfig(steps=20, batch_size=64,
-                               loss=LossConfig(sigma=5.0, margin=0.1 * (1 + k % 10)))
-                   for k in range(25)]
-        tracemalloc.start()
-        try:
-            train(models, [data[k % 5] for k in range(25)], configs, list(range(25)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # steps peaks at 6.0 MB under tracemalloc; the bound is about 1.25
+        # times that.
+        peak, _ = traced_sweep_stack(20)
         assert peak <= 7.4e6
+
+    def test_stack_memory_does_not_grow_with_steps(self):
+        # The stack's history is one (runs, steps, 5) float64 array: 0.25 MB
+        # more at 250 steps than at 50. A StepRecord per run and step made
+        # that 1.21 MB.
+        peak_50, reports = traced_sweep_stack(50)
+        peak_250, _ = traced_sweep_stack(250)
+        assert peak_250 - peak_50 <= 0.5e6
+        models, data, configs = sweep_stack(50)
+        for k, report in enumerate(reports):
+            alone = train(models[k], data[k], configs[k], k)
+            assert report.history.shape == (50, 5)
+            assert report.history.tobytes() == alone.history.tobytes()
 
     def test_stack_of_mixed_loss_kinds_rejected(self):
         data = blob_train_set()
