@@ -221,20 +221,18 @@ def load_delimited(path) -> Dataset:
     return Dataset(standardize(table[:, :-1]), labels, int(labels.max()) + 1)
 
 
-def write_rows(fh, values, delimiter: str, labels=None) -> None:
-    """One line per table row: 17 significant digits a value (an exact float64
-    round trip), then the integer label when labels are given. Rows are
+def write_rows(fh, values, labels) -> None:
+    """One comma-separated line per table row: 17 significant digits a value
+    (an exact float64 round trip), then the row's integer label. Rows are
     formatted ROW_CHUNK at a time, so no whole-table list of floats exists."""
-    line = delimiter.join(["%.17g"] * values.shape[1] + ["%d"] * (labels is not None)) + "\n"
+    line = "%.17g," * values.shape[1] + "%d\n"
     for start in range(0, values.shape[0], ROW_CHUNK):
-        rows = values[start:start + ROW_CHUNK].tolist()
-        if labels is not None:
-            chunk = np.asarray(labels)[start:start + ROW_CHUNK].tolist()
-            rows = ((*row, label) for row, label in zip(rows, chunk))
-        fh.writelines(line % tuple(row) for row in rows)
+        rows = zip(values[start:start + ROW_CHUNK].tolist(),
+                   labels[start:start + ROW_CHUNK].tolist())
+        fh.writelines(line % (*row, label) for row, label in rows)
 
 
 def save_delimited(dataset: Dataset, path) -> None:
     """Write features plus a final label column, the table load_delimited reads."""
     with open(path, "w") as fh:
-        write_rows(fh, dataset.features, ",", dataset.labels)
+        write_rows(fh, dataset.features, dataset.labels)

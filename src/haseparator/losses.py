@@ -351,6 +351,11 @@ def compute_loss(e, w, labels, config: LossConfig | LossStack) -> LossResult:
         )
         total_loss = ce_loss + separator_loss
         grad_cos += sep_grad_cos
+    if np.isinf(e_norms).any() or np.isinf(w_norms).any():
+        # normalize gives a finite vector whose squared norm overflows a zero
+        # direction, so its run's loss stays finite: make it inf (NaN stays).
+        overflow = np.isinf(e_norms).any(axis=(-2, -1)) | np.isinf(w_norms).any(axis=(-2, -1))
+        total_loss = np.where(overflow, total_loss + np.inf, total_loss)[()]
 
     grad_w_hat = np.swapaxes(e_hat, -1, -2) @ grad_cos
     if separator:

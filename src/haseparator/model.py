@@ -14,10 +14,11 @@ run's products and sums are the ones its 2-d arrays would get.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
-from .data import read_text_lines, write_rows
+from .data import read_text_lines
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import as_matrix
 
@@ -180,12 +181,12 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings, out=None) ->
     return out
 
 
-def _named_parameters(model: MlpModel) -> list[tuple[str, np.ndarray]]:
-    """(checkpoint name, 2-d view) of each parameter, in file order."""
-    named = []
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        named += [(f"layer{i}.weight", w), (f"layer{i}.bias", b.reshape(1, -1))]
-    return named + [("class_weights", model.class_weights)]
+def _layout(dims, num_classes) -> list[tuple[str, tuple[int, int]]]:
+    """(checkpoint name, 2-d shape) of each parameter block, in file order."""
+    layout = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        layout += [(f"layer{i}.weight", (fan_in, fan_out)), (f"layer{i}.bias", (1, fan_out))]
+    return layout + [("class_weights", (dims[-1], num_classes))]
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
@@ -193,24 +194,26 @@ def save_checkpoint(model: MlpModel, path) -> None:
 
     Format: a magic line, "layer_dims d0 d1 ...", "num_classes C", then for
     each parameter a line "param <name> <rows> <cols>" followed by <rows>
-    lines of <cols> space-separated values (17 significant digits, which
-    round-trips float64 exactly). Parameter order is layer0.weight,
-    layer0.bias, layer1.weight, ... , class_weights; biases are stored as
-    1 x n matrices.
+    lines of <cols> space-separated values, written by np.savetxt with 17
+    significant digits (an exact float64 round trip). Parameter order is
+    layer0.weight, layer0.bias, layer1.weight, ... , class_weights; biases
+    are stored as 1 x n matrices.
     """
+    params = [p for pair in zip(model.weights, model.biases) for p in pair] + [model.class_weights]
     with open(path, "w") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n")
         fh.write("layer_dims " + " ".join(str(d) for d in model.layer_dims) + "\n")
         fh.write(f"num_classes {model.num_classes}\n")
-        for name, values in _named_parameters(model):
-            fh.write(f"param {name} {values.shape[0]} {values.shape[1]}\n")
-            write_rows(fh, values, " ")
+        for (name, shape), values in zip(_layout(model.layer_dims, model.num_classes), params):
+            fh.write(f"param {name} {shape[0]} {shape[1]}\n")
+            np.savetxt(fh, values.reshape(shape), fmt="%.17g")
 
 
 def load_checkpoint(path) -> MlpModel:
-    """Read a checkpoint written by save_checkpoint a line at a time, into a
-    model allocated from its layer_dims and num_classes lines, which each
-    parameter header must match; raises CheckpointError naming the path."""
+    """Read a checkpoint written by save_checkpoint one parameter block at a
+    time: each block, under the header that the layer_dims and num_classes
+    lines give, is parsed by one np.loadtxt call over its lines. Raises
+    CheckpointError naming the path."""
     lines = (ln.rstrip("\r\n") for ln in read_text_lines(path, CheckpointError))
     try:
         if next(lines, None) != CHECKPOINT_MAGIC:
@@ -222,28 +225,22 @@ def load_checkpoint(path) -> MlpModel:
         num_classes = int(classes_line.split()[1])
         if len(dims) < 2 or min(*dims, num_classes) < 1:
             raise CheckpointError(f"{path}: bad dimensions {dims}, C={num_classes}")
-        model = MlpModel(dims, [np.empty(shape) for shape in zip(dims[:-1], dims[1:])],
-                         [np.empty(d) for d in dims[1:]], np.empty((dims[-1], num_classes)))
-        for name, values in _named_parameters(model):
-            head = next(lines, "").split()
-            if head[:2] != ["param", name] or len(head) != 4:
-                raise CheckpointError(f"{path}: bad header for parameter {name}: {head}")
-            shape = (int(head[2]), int(head[3]))
-            if shape != values.shape:
-                raise CheckpointError(f"{path}: parameter {name} has shape {shape}, "
-                                      f"the header lines give {values.shape}")
-            for row in values:
-                cells = next(lines, None)
-                if cells is None:
-                    raise CheckpointError(f"{path}: truncated parameter {name}")
-                cells = cells.split()
-                if len(cells) != shape[1]:
-                    raise CheckpointError(f"{path}: parameter {name} has wrong shape")
-                row[:] = [float(v) for v in cells]
+        blocks = []
+        for name, shape in _layout(dims, num_classes):
+            header, got = f"param {name} {shape[0]} {shape[1]}", next(lines, None)
+            if got != header:
+                raise CheckpointError(f"{path}: expected the header {header!r}, got {got!r}")
+            first = next(lines, "")
+            if not first.strip():  # np.loadtxt warns on a block with no rows
+                raise CheckpointError(f"{path}: parameter {name} has no rows")
+            values = np.loadtxt(chain([first], islice(lines, shape[0] - 1)), ndmin=2, comments=None)
+            if values.shape != shape:
+                raise CheckpointError(f"{path}: {name} has shape {values.shape}, not {shape}")
             if not np.all(np.isfinite(values)):
                 raise CheckpointError(f"{path}: parameter {name} has non-finite values")
+            blocks.append(values)
     except CheckpointError:
         raise
     except (ValueError, IndexError) as exc:
         raise CheckpointError(f"{path}: cannot parse checkpoint ({exc})") from exc
-    return model
+    return MlpModel(dims, blocks[:-1:2], [b[0] for b in blocks[1::2]], blocks[-1])

@@ -454,7 +454,7 @@ class TestFilePathMemory:
         with open(os.devnull, "w") as fh:
             tracemalloc.start()
             try:
-                write_rows(fh, values, ",", labels)
+                write_rows(fh, values, labels)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

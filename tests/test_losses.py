@@ -494,6 +494,26 @@ class TestClosedFormMatchesDenseOracle:
                     got = np.broadcast_to(getattr(stacked, name), (3, *np.shape(want)))[k]
                     assert got.tobytes() == np.asarray(want).tobytes(), name
 
+    @pytest.mark.parametrize("kind", [SOFTMAX, HASEPARATOR, ARCFACE])
+    def test_overflowing_norm_makes_the_loss_infinite(self, kind):
+        # A 1e200 row of e or column of w is finite, but its squared norm
+        # overflows, so normalize gives it no direction. The run's total
+        # loss must be inf, alone or in a stack; the stack's other runs
+        # keep their own values.
+        rng = np.random.default_rng(44)
+        e, w, labels = random_instance(rng, batch=6, dim=3, classes=4)
+        config = LossConfig(loss_kind=kind, sigma=4.0, margin=0.8)
+        big_e, big_w = e.copy(), w.copy()
+        big_e[2] = 1e200
+        big_w[:, 1] = -1e200
+        with np.errstate(over="ignore"):
+            for args in ((big_e, w), (e, big_w)):
+                assert compute_loss(*args, labels, config).total_loss == math.inf
+            stacked = compute_loss(np.stack([big_e, e, e]), np.stack([w, w, big_w]),
+                                   np.stack([labels] * 3), LossStack.of([config] * 3))
+        assert stacked.total_loss.tolist()[::2] == [math.inf, math.inf]
+        assert stacked.total_loss[1] == compute_loss(e, w, labels, config).total_loss
+
 class TestGradientOracles:
     @pytest.mark.parametrize(
         "config",

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,44 @@ class TestCheckpoint:
         for a, b in zip(loaded.biases, model.biases):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded.class_weights, model.class_weights)
+
+    def test_edge_values_round_trip_byte_for_byte(self, tmp_path):
+        model = init_model((3, 4), 2, seed=18)
+        edges = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1e-300, 1e300]
+        model.weights[0].flat[:len(edges)] = edges
+        model.biases[0][:] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-320]
+        model.class_weights[:] = [[-0.0, 0.0], [-5e-324, 4.9e-322], [1e308, -1e-308], [3, -3]]
+        save_checkpoint(model, tmp_path / "a.txt")
+        loaded = load_checkpoint(tmp_path / "a.txt")
+        for got, want in zip(loaded.weights + loaded.biases + [loaded.class_weights],
+                             model.weights + model.biases + [model.class_weights]):
+            assert got.tobytes() == want.tobytes()
+        save_checkpoint(loaded, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_crlf_file_loads(self, tmp_path):
+        model = init_model((3, 5, 4), 3, seed=19)
+        path = tmp_path / "model.txt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        loaded = load_checkpoint(path)
+        for got, want in zip(loaded.weights + loaded.biases + [loaded.class_weights],
+                             model.weights + model.biases + [model.class_weights]):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("header", [3, 7, 9])
+    def test_file_cut_after_a_header_names_its_path(self, tmp_path, header):
+        # np.loadtxt warns on a block with no rows; the loader must raise first.
+        path = tmp_path / "model.txt"
+        save_checkpoint(init_model((3, 4), 2, seed=16), path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[header].startswith("param ")
+        path.write_text("".join(lines[:header + 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.txt"

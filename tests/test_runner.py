@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from haseparator import runner
+from haseparator import errors, runner
 from haseparator.data import ROW_CHUNK, Dataset, save_delimited
 from haseparator.errors import ConfigError
 from haseparator.losses import LOSS_KINDS, LossConfig
@@ -394,6 +396,37 @@ class TestSweepStacks:
         outcomes = runner._run_stack(configs)
         assert all(isinstance(outcome, tuple) for outcome, _ in outcomes)
         assert scored == ["test"] * len(configs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:excluded .* zero embeddings:UserWarning")
+    @given(kind=st.sampled_from(LOSS_KINDS), classes=st.integers(2, 3),
+           embedding_dim=st.integers(1, 3), batch_size=st.sampled_from([1, 3, 64]),
+           base_lr=st.floats(-3, 8).map(lambda x: 10.0**x),
+           weight_decay=st.sampled_from([0.0, 1e-4, 1.0, 1e6]),
+           runs=st.lists(st.tuples(st.floats(-3, 200).map(lambda x: 10.0**x),
+                                   st.floats(0.05, 1.0), st.integers(0, 3)),
+                         min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_extreme_configs_finish_or_fail_typed(self, kind, classes, embedding_dim,
+                                                 batch_size, base_lr, weight_decay, runs):
+        # Each run, alone or in a stack of 3, ends with finite test scores or
+        # with an error of the library's own types, never a bare numpy one;
+        # a stack's runs equal their solo runs, whatever the others do.
+        template = ExperimentConfig(
+            dataset=DatasetConfig(num_classes=classes, per_class=10, dim=2),
+            hidden_dims=(3,), embedding_dim=embedding_dim, max_pairs=50,
+            train=TrainConfig(steps=6, batch_size=batch_size, base_lr=base_lr,
+                              weight_decay=weight_decay))
+        configs = [_cell_config(template, kind, *run) for run in runs]
+        alone = [cell_row(template, kind, *run) for run in runs]
+        for row in alone:
+            if isinstance(row, str):
+                assert isinstance(getattr(errors, row.split(":")[0], None), type), row
+            else:
+                assert all(math.isfinite(float.fromhex(v)) for v in row[:3]), row
+        stacked = [outcome if isinstance(outcome, str) else tuple(v.hex() for v in outcome)
+                   for outcome, _ in runner._run_stack(configs)]
+        assert stacked == alone
 
     def test_row_times_sum_within_busy_time(self):
         sweep = SweepConfig(losses=LOSS_KINDS, margins=(0.4, 0.8), seeds=(0, 1, 2),

@@ -414,6 +414,38 @@ class TestTrain:
         assert step > 0
         assert all(math.isfinite(r.c_all) for r in report.records)
 
+    def test_overflowing_norm_is_reported_as_divergence(self):
+        # weight_decay 1e6 at base_lr 10 scales the weights by about -1e7 a
+        # step, until the embeddings' squared norms overflow while every
+        # entry stays finite. normalize then gives those rows no direction,
+        # which would leave the loss finite and the run training on.
+        train_data, _ = gaussian_blobs(2, 20, 3, seed=0)
+        model = init_model((3, 4, 4), 2, seed=19)
+        cfg = softmax_config(steps=15, base_lr=10.0, weight_decay=1e6,
+                             loss=LossConfig(loss_kind="softmax", sigma=1e-3))
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergenceError, match=r"at step \d+: total loss inf"):
+                train(model, train_data, cfg, seed=0)
+
+    @pytest.mark.parametrize("kind", ["softmax", "haseparator", "arcface"])
+    def test_stack_run_whose_norms_overflow_leaves_alone(self, kind):
+        # sigma 1e100 takes a run's weights past 1e154 in one step, where
+        # their squared norms overflow: that run leaves the stack at step 1,
+        # and the others keep the bits of their own runs.
+        data = blob_train_set(dim=4)
+        configs = [TrainConfig(steps=12, batch_size=16, base_lr=1.0,
+                               loss=LossConfig(loss_kind=kind, sigma=sigma, margin=0.5))
+                   for sigma in (3.0, 1e100, 5.0)]
+        models = [init_model((4, 8, 6), 3, seed=50 + k) for k in range(3)]
+        with np.errstate(all="ignore"):
+            reports = train(models, [data] * 3, configs, [60, 61, 62])
+        assert isinstance(reports[1], DivergenceError)
+        assert "at step 1: total loss inf" in str(reports[1])
+        for k in (0, 2):
+            alone = train(models[k], data, configs[k], 60 + k)
+            assert parameter_bytes(reports[k].final_model) == parameter_bytes(alone.final_model)
+            assert reports[k].history.tobytes() == alone.history.tobytes()
+
 
 class TestReportCsv:
     def test_round_trip(self, tmp_path):
