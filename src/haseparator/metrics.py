@@ -89,6 +89,23 @@ def _locate(starts, ranks):
     return block, ranks - starts[block]
 
 
+def unit_rows(embeddings) -> tuple[np.ndarray, np.ndarray]:
+    """normalize(embeddings, -1) of a finite float64 matrix, except that rows
+    whose squared norm overflows are rescaled before they are normalized, so
+    they keep their direction (their norm stays inf). Non-finite embeddings,
+    a diverged model's, raise ConfigError."""
+    nonfinite = int(np.sum(~np.all(np.isfinite(embeddings), axis=1)))
+    if nonfinite:
+        raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
+    with np.errstate(over="ignore"):
+        unit, norms = normalize(embeddings, -1)
+    huge = ~np.isfinite(norms[:, 0])
+    if np.any(huge):
+        rows = embeddings[huge]
+        unit[huge] = normalize(rows / np.max(np.abs(rows), axis=1, keepdims=True), -1)[0]
+    return unit, norms
+
+
 def pair_angles(
     embeddings,
     labels,
@@ -100,9 +117,8 @@ def pair_angles(
     All pairs are used when a kind has at most max_pairs_per_kind of them;
     otherwise a seeded uniform sample without replacement of exactly that
     many pairs is taken. All-zero embeddings have no direction and are
-    excluded with a warning; non-finite embeddings (a diverged model) raise
-    ConfigError. Rows whose squared norm overflows float64 are rescaled
-    before they are normalized.
+    excluded with a warning; unit_rows normalizes the rest, and raises
+    ConfigError on non-finite embeddings (a diverged model).
 
     The angles are computed in ascending rank order, so that the row gathers
     sweep the embeddings in order, and returned in sample order.
@@ -116,16 +132,7 @@ def pair_angles(
     if max_pairs_per_kind < 1:
         raise ConfigError("max_pairs_per_kind must be >= 1")
 
-    nonfinite = int(np.sum(~np.all(np.isfinite(embeddings), axis=1)))
-    if nonfinite:
-        raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
-    with np.errstate(over="ignore"):
-        unit, norms = normalize(embeddings, -1)
-    huge = ~np.isfinite(norms[:, 0])
-    if np.any(huge):
-        # Finite rows whose squared norm overflows: normalize them rescaled.
-        rows = embeddings[huge]
-        unit[huge] = normalize(rows / np.max(np.abs(rows), axis=1, keepdims=True), -1)[0]
+    unit, norms = unit_rows(embeddings)
     keep = norms[:, 0] > EPSILON
     dropped = int(np.sum(~keep))
     if dropped:

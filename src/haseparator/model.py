@@ -9,10 +9,17 @@ forward, embed and backward also run a stack of K models at once: every
 parameter then carries a leading run axis (weights K x in x out, biases
 K x out, class weights K x N x C), and so do the inputs (K x B x D). Each
 run's products and sums are the ones its 2-d arrays would get.
+
+A training step's trace holds one array per layer, the rectified output of
+a hidden layer or the embeddings of the last, and two scratch buffers of
+the widest layer: forward's products go to one, and backward's deltas
+alternate between the two. backward reads each rectifier's mask from its
+output, since max(z, 0) > 0 exactly where z > 0, NaN and -0.0 included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -51,18 +58,22 @@ class MlpModel:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer values recorded by forward(), consumed by backward(), and
-    backward()'s gradients of the hidden pre-activations (deltas).
+    """The values forward() records for backward().
 
-    products holds forward()'s scratch array for the last layer's product.
+    activations holds one array per layer: a hidden layer's rectified
+    output, then the embeddings. scratch holds two flat buffers, each with
+    room for one layer's output at the widest layer width: forward writes
+    its products to the first, and backward its deltas to both in turn, so
+    it can run on one trace any number of times.
     """
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
-    embeddings: np.ndarray | None = None
-    deltas: list[np.ndarray] = field(default_factory=list)
-    products: list[np.ndarray] = field(default_factory=list)
+    scratch: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def embeddings(self) -> np.ndarray | None:
+        return self.activations[-1] if self.activations else None
 
 
 @dataclass
@@ -77,6 +88,11 @@ def _slot(arrays: list, i: int, shape) -> np.ndarray:
     if arrays[i] is None or arrays[i].shape != shape:
         arrays[i] = np.empty(shape)
     return arrays[i]
+
+
+def _scratch(trace: ForwardTrace, j: int, shape) -> np.ndarray:
+    """A C-contiguous array of this shape at the start of trace.scratch[j]."""
+    return trace.scratch[j][: math.prod(shape)].reshape(shape)
 
 
 def init_model(layer_dims, num_classes: int, seed) -> MlpModel:
@@ -119,21 +135,21 @@ def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> Forward
     x = _check_inputs(model, inputs)
     trace = ForwardTrace(inputs=x) if out is None else out
     trace.inputs = activation = x
+    size = math.prod(x.shape[:-1]) * max(model.layer_dims[1:])
+    if len(trace.scratch) != 2 or trace.scratch[0].size < size:
+        trace.scratch = [np.empty(size), np.empty(size)]
     last = len(model.weights) - 1
-    # An earlier trace's last activation is its last pre-activation array.
-    del trace.activations[len(trace.pre_activations) - 1 :]
+    del trace.activations[last + 1 :]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         shape = (*x.shape[:-1], w.shape[-1])
-        # The product goes to scratch (a hidden layer's activation array),
-        # not to z: numpy adds into a one-entry array by its reduction
-        # loop, which can return the bias's NaN instead of the product's.
-        scratch = _slot(*((trace.activations, i) if i < last else (trace.products, 0)), shape)
-        np.matmul(activation, w, out=scratch)
-        z = np.add(scratch, b[..., None, :], out=_slot(trace.pre_activations, i, shape))
+        # The product goes to scratch and the bias is added out of place,
+        # as embed adds it: numpy adds into a one-entry array by its
+        # reduction loop, which can return the bias's NaN instead of the
+        # product's.
+        product = np.matmul(activation, w, out=_scratch(trace, 0, shape))
+        activation = np.add(product, b[..., None, :], out=_slot(trace.activations, i, shape))
         if i < last:
-            activation = np.maximum(z, 0.0, out=scratch)
-    trace.activations[last:] = [z]
-    trace.embeddings = z
+            np.maximum(activation, 0.0, out=activation)
     return trace
 
 
@@ -174,10 +190,12 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_embeddings, out=None) ->
         np.matmul(np.swapaxes(layer_in, -1, -2), delta, out=out.weights[i])
         np.sum(delta, axis=-2, out=out.biases[i])
         if i > 0:
-            pre = trace.pre_activations[i - 1]
+            # W^T stays a transposed view: a contiguous copy multiplies
+            # faster but changes bits at some widths. Consecutive layers'
+            # deltas take turns in the two scratch buffers.
             delta = np.matmul(delta, np.swapaxes(model.weights[i], -1, -2),
-                              out=_slot(trace.deltas, i - 1, pre.shape))
-            delta *= pre > 0
+                              out=_scratch(trace, i % 2, layer_in.shape))
+            delta *= layer_in > 0
     return out
 
 

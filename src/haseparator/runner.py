@@ -38,7 +38,7 @@ import numpy as np
 from .data import (
     Dataset, gaussian_blobs, load_delimited, read_text_lines, split_dataset, two_rings,
 )
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, LabelError, ShapeError
 from .losses import ARCFACE, HASEPARATOR, LOSS_KINDS
 from .metrics import (
     DEFAULT_BINS,
@@ -50,6 +50,7 @@ from .metrics import (
     emd_1d,
     kl_divergence,
     pair_angles,
+    unit_rows,
     write_histogram_csv,
     write_scores_json,
 )
@@ -175,9 +176,10 @@ def evaluate_model(
 ) -> tuple[AngleHistograms, DiscriminationScores, np.ndarray]:
     """Embed a split without a backward trace and score it: accuracy as the
     argmax of the cosines, D_KL and D_EM from the positive/negative
-    pair-angle histograms."""
+    pair-angle histograms. Both read the embeddings' directions from
+    unit_rows."""
     embeddings = embed(model, dataset.features)
-    cosines = normalize(embeddings, 1)[0] @ normalize(model.class_weights, 0)[0]
+    cosines = unit_rows(embeddings)[0] @ normalize(model.class_weights, 0)[0]
     acc = accuracy(cosines, dataset.labels)
     del cosines  # rows x C, not needed while the pairs are scored
     pos, neg = pair_angles(embeddings, dataset.labels, max_pairs_per_kind=max_pairs, seed=seed)
@@ -225,15 +227,20 @@ def evaluate_splits(model: MlpModel, config: ExperimentConfig, data, splits=SPLI
                     out_dir=None) -> tuple[dict, dict]:
     """Score the named splits of data, a (train, test) pair, each with its pair
     seed from config.seed; return (hists, scores) by split. Once all have
-    scored, write their hist_, scores_ and embeddings_ files to out_dir."""
+    scored, write their hist_, scores_ and embeddings_ files to out_dir. A
+    split that cannot be scored raises its error, with the split's name in
+    front of the message."""
     seeds = derive_seeds(config.seed)
     datasets = dict(zip(SPLITS, data))
     hists, scores, embeddings = {}, {}, {}
     for split in splits:
-        hists[split], scores[split], embeddings[split] = evaluate_model(
-            model, datasets[split], bins=config.bins, max_pairs=config.max_pairs,
-            seed=seeds[f"eval_{split}"],
-        )
+        try:
+            hists[split], scores[split], embeddings[split] = evaluate_model(
+                model, datasets[split], bins=config.bins, max_pairs=config.max_pairs,
+                seed=seeds[f"eval_{split}"],
+            )
+        except (ConfigError, LabelError, ShapeError) as exc:
+            raise type(exc)(f"{split} split: {exc}") from exc
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         join = lambda name: os.path.join(out_dir, name)
@@ -467,8 +474,10 @@ def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
 
     Each distinct ExperimentConfig is trained once, however many cells
     share it. The distinct runs of each loss kind are trained as stacks,
-    split so that all jobs workers have work; a cell's row equals what
-    run_experiment gives for it, bit for bit.
+    split so that all jobs workers have work. A cell's row holds the test
+    scores that run_experiment gives for it, bit for bit, or the error of
+    its run with the test split alone scored: run_experiment scores the
+    train split first, and may fail there.
     """
     records, rows = [], {}
     grid = itertools.product(sweep.losses, sweep.sigmas, sweep.margins, sweep.seeds)

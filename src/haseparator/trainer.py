@@ -236,17 +236,15 @@ def train(model, dataset, config, seed):
 def _step_arrays(steps, shape, dim):
     """steps[shape]: the batch features, labels and trace of a runs x rows
     batch, made on first use. An epoch's shorter last batch views the first
-    rows of a full batch's arrays."""
+    rows of a full batch's arrays and shares its trace's scratch buffers."""
     if shape not in steps:
         longer = [s for s in steps if s[1] > shape[1]]
         if not longer:
             steps[shape] = np.empty((*shape, dim)), np.empty(shape, np.int64), ForwardTrace(None)
             return steps[shape]
         batch_x, batch_y, trace = steps[longer[0]]
-        rows = lambda arrays: [a[..., : shape[1], :] for a in arrays]
         steps[shape] = batch_x[:, : shape[1]], batch_y[:, : shape[1]], ForwardTrace(
-            None, rows(trace.pre_activations), rows(trace.activations), deltas=rows(trace.deltas),
-            products=rows(trace.products))
+            None, [a[..., : shape[1], :] for a in trace.activations], list(trace.scratch))
     return steps[shape]
 
 

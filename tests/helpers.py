@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,7 +20,7 @@ from haseparator.errors import (
     ShapeError,
 )
 from haseparator.losses import HASEPARATOR, ARCFACE, LossResult, compute_loss
-from haseparator.model import CHECKPOINT_MAGIC, ForwardTrace, ModelGrads
+from haseparator.model import CHECKPOINT_MAGIC, ModelGrads
 from haseparator.tensor import EPSILON, as_labels, as_matrix, normalize, normalize_backward
 
 FD_STEP = 1e-6
@@ -290,8 +290,19 @@ def reference_cross_entropy(logits, labels):
     return loss, grad / batch
 
 
-def reference_forward(model, x) -> ForwardTrace:
-    trace = ForwardTrace(inputs=x)
+@dataclass
+class ReferenceTrace:
+    """reference_forward's values: each layer's pre-activation beside its
+    activation, so that reference_backward masks by the pre-activations."""
+
+    inputs: np.ndarray
+    pre_activations: list = field(default_factory=list)
+    activations: list = field(default_factory=list)
+    embeddings: np.ndarray | None = None
+
+
+def reference_forward(model, x) -> ReferenceTrace:
+    trace = ReferenceTrace(inputs=x)
     activation = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):

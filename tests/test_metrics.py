@@ -21,9 +21,11 @@ from haseparator.metrics import (
     emd_1d,
     kl_divergence,
     pair_angles,
+    unit_rows,
     write_histogram_csv,
     write_scores_json,
 )
+from haseparator.tensor import normalize
 from helpers import loop_pair_angles, merged_rank_sample, transport_cost
 
 counts_strategy = st.lists(st.integers(0, 50), min_size=2, max_size=16)
@@ -135,6 +137,17 @@ class TestPairAngles:
             pos, neg = pair_angles(e, [0, 0, 1, 1])
         np.testing.assert_allclose(pos, [45.0, 45.0], atol=1e-9)
         np.testing.assert_allclose(neg, [90.0, 135.0, 45.0, 90.0], atol=1e-9)
+
+    def test_unit_rows_rescales_only_rows_whose_norm_overflows(self):
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(8, 4))
+        scaled = rows * np.array([2.0**1000, 1.0] * 4)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit, norms = unit_rows(scaled)
+        assert np.isinf(norms[::2]).all() and np.isfinite(norms[1::2]).all()
+        assert unit[1::2].tobytes() == normalize(rows[1::2], -1)[0].tobytes()
+        np.testing.assert_allclose(unit[::2], normalize(rows[::2], -1)[0], rtol=0, atol=1e-15)
 
     def test_empty_labels_rejected_as_label_error(self):
         with pytest.raises(LabelError, match="non-empty"):

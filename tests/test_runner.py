@@ -153,6 +153,21 @@ class TestEvaluateModel:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_accuracy_reads_rows_whose_norm_overflows(self):
+        # Scaling the last layer by 2**1000 scales each embedding exactly,
+        # and its squared norm overflows. The scores read directions, so
+        # accuracy must not move; a normalize that zeroes such rows scored
+        # every row as class 0.
+        result = run_experiment(tiny_experiment())
+        model = result.model.copy()
+        model.weights[-1] *= 2.0**1000
+        model.biases[-1] *= 2.0**1000
+        _, scores, embeddings = evaluate_model(model, result.test_data)
+        assert np.isinf(np.sum(embeddings * embeddings, axis=1)).all()
+        assert np.mean(result.test_data.labels == 0) < result.scores["test"].accuracy
+        assert scores.accuracy == result.scores["test"].accuracy
+
 
 class TestEmbeddingsNpz:
     def test_round_trip(self, tmp_path):
@@ -299,6 +314,12 @@ def cell_row(template, loss, sigma, margin, seed):
             result.report.records[-1].c_sep.hex())
 
 
+def stack_rows(configs):
+    """runner._run_stack's outcome for each config, as cell_row gives it."""
+    return [outcome if isinstance(outcome, str) else tuple(v.hex() for v in outcome)
+            for outcome, _ in runner._run_stack(configs)]
+
+
 def sweep_row(record):
     if record.error:
         return record.error
@@ -355,7 +376,7 @@ class TestSweepStacks:
         records = run_sweep(sweep)
         for got, want in zip(records, expected, strict=True):
             if got.seed == 1:
-                assert got.error == "ConfigError: evaluation failed"
+                assert got.error == "ConfigError: test split: evaluation failed"
                 assert math.isnan(got.d_em)
             else:
                 assert sweep_row(got) == sweep_row(want)
@@ -411,22 +432,25 @@ class TestSweepStacks:
                                                  batch_size, base_lr, weight_decay, runs):
         # Each run, alone or in a stack of 3, ends with finite test scores or
         # with an error of the library's own types, never a bare numpy one;
-        # a stack's runs equal their solo runs, whatever the others do.
+        # a stack's runs equal their solo runs, whatever the others do. A
+        # solo run equals run_experiment's test scores or its error, unless
+        # run_experiment failed on the train split, which a sweep never scores.
         template = ExperimentConfig(
             dataset=DatasetConfig(num_classes=classes, per_class=10, dim=2),
             hidden_dims=(3,), embedding_dim=embedding_dim, max_pairs=50,
             train=TrainConfig(steps=6, batch_size=batch_size, base_lr=base_lr,
                               weight_decay=weight_decay))
         configs = [_cell_config(template, kind, *run) for run in runs]
-        alone = [cell_row(template, kind, *run) for run in runs]
-        for row in alone:
+        alone = [stack_rows([config])[0] for config in configs]
+        for row, run in zip(alone, runs):
             if isinstance(row, str):
                 assert isinstance(getattr(errors, row.split(":")[0], None), type), row
             else:
                 assert all(math.isfinite(float.fromhex(v)) for v in row[:3]), row
-        stacked = [outcome if isinstance(outcome, str) else tuple(v.hex() for v in outcome)
-                   for outcome, _ in runner._run_stack(configs)]
-        assert stacked == alone
+            expected = cell_row(template, kind, *run)
+            if not (isinstance(expected, str) and "train split" in expected):
+                assert row == expected
+        assert stack_rows(configs) == alone
 
     def test_row_times_sum_within_busy_time(self):
         sweep = SweepConfig(losses=LOSS_KINDS, margins=(0.4, 0.8), seeds=(0, 1, 2),

@@ -120,9 +120,8 @@ def grad_views(model: MlpModel) -> ModelGrads:
 
 
 def assert_traces_same(got, want):
-    for name in ("pre_activations", "activations"):
-        for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
-            assert_same(a, b)
+    for a, b in zip(got.activations, want.activations, strict=True):
+        assert_same(a, b)
     assert_same(got.embeddings, want.embeddings)
 
 
@@ -154,15 +153,13 @@ def test_forward_into_a_reused_trace_equals_a_fresh_one(net, data):
     with np.errstate(all="ignore"):
         trace = forward(model, earlier)
         backward(model, trace, upstream)
-        arrays = [id(a) for a in (*trace.pre_activations, *trace.activations, *trace.deltas)]
+        arrays = [id(a) for a in (*trace.activations, *trace.scratch)]
+        assert len(arrays) == len(model.weights) + 2
         assert forward(model, inputs, trace) is trace
-        assert [id(a) for a in (*trace.pre_activations, *trace.activations)] == arrays[
-            : 2 * len(model.weights)
-        ]
         assert_traces_same(trace, reference_forward(model, inputs))
         assert_grads_same(backward(model, trace, upstream),
                           reference_backward(model, reference_forward(model, inputs), upstream))
-        assert [id(a) for a in trace.deltas] == arrays[2 * len(model.weights):]
+        assert [id(a) for a in (*trace.activations, *trace.scratch)] == arrays
 
 
 def one_entry_net(dims, runs=None):
