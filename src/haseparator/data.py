@@ -18,8 +18,8 @@ from .errors import ConfigError, DataFormatError, NonNumericCellError, RaggedRow
 from .tensor import as_labels, as_matrix, normalize
 
 VARIANCE_FLOOR = 1e-12
-# Rows formatted at once by the text-table writers, and parsed at once by
-# the loader's per-row fallback.
+# Rows formatted at once by save_delimited, and parsed at once by the
+# loader's per-row fallback.
 ROW_CHUNK = 1024
 
 
@@ -221,18 +221,15 @@ def load_delimited(path) -> Dataset:
     return Dataset(standardize(table[:, :-1]), labels, int(labels.max()) + 1)
 
 
-def write_rows(fh, values, labels) -> None:
-    """One comma-separated line per table row: 17 significant digits a value
-    (an exact float64 round trip), then the row's integer label. Rows are
-    formatted ROW_CHUNK at a time, so no whole-table list of floats exists."""
-    line = "%.17g," * values.shape[1] + "%d\n"
-    for start in range(0, values.shape[0], ROW_CHUNK):
-        rows = zip(values[start:start + ROW_CHUNK].tolist(),
-                   labels[start:start + ROW_CHUNK].tolist())
-        fh.writelines(line % (*row, label) for row, label in rows)
-
-
 def save_delimited(dataset: Dataset, path) -> None:
-    """Write features plus a final label column, the table load_delimited reads."""
+    """Write the table load_delimited reads: one comma-separated line per
+    row, 17 significant digits a feature (an exact float64 round trip), then
+    the row's integer label. Rows are formatted ROW_CHUNK at a time, so no
+    whole-table list of floats exists."""
+    values, labels = dataset.features, dataset.labels
+    line = "%.17g," * values.shape[1] + "%d\n"
     with open(path, "w") as fh:
-        write_rows(fh, dataset.features, dataset.labels)
+        for start in range(0, values.shape[0], ROW_CHUNK):
+            rows = zip(values[start:start + ROW_CHUNK].tolist(),
+                       labels[start:start + ROW_CHUNK].tolist())
+            fh.writelines(line % (*row, label) for row, label in rows)

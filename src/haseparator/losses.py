@@ -70,8 +70,8 @@ class LossConfig:
             raise ConfigError(
                 f"unknown loss_kind {self.loss_kind!r}, expected one of {LOSS_KINDS}"
             )
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0 < self.margin <= 1:
             raise ConfigError(f"margin must lie in (0, 1], got {self.margin}")
         if not 0 <= self.arc_margin < math.pi / 2:

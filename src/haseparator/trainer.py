@@ -43,10 +43,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.base_lr > 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if not self.lr_drop_factor > 0:
-            raise ConfigError(f"lr_drop_factor must be positive, got {self.lr_drop_factor}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not 0 < self.lr_drop_factor < math.inf:
+            raise ConfigError(f"lr_drop_factor must be finite and > 0, got {self.lr_drop_factor}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not 0 <= self.weight_decay < math.inf:
@@ -126,7 +126,7 @@ def _unpack(buffer, layer_dims, shapes, pick) -> MlpModel:
 def train(model, dataset, config, seed):
     """Run SGD over minibatches shuffled from seed; the input model is not mutated.
 
-    Raises DivergenceError at the first step whose loss is not finite.
+    Raises DivergenceError naming the first step whose loss is not finite.
 
     A stack of K runs is trained at once when model, dataset, config and
     seed are sequences of K: models of one shape, datasets of one size
@@ -135,8 +135,10 @@ def train(model, dataset, config, seed):
     carry a leading run axis, and each run's bits equal those of its own
     call. Each run gathers its batch rows from its own dataset. The result
     is a list of K entries: a run's TrainReport, or the DivergenceError
-    that took it out of the stack. A diverged run finishes its step's
-    backward and update with the others, then leaves the stack.
+    naming its first non-finite step. A diverged run keeps its place in
+    the stack's arrays and keeps computing, but nothing reads its values
+    again; training stops once every run has diverged. A single run is a
+    stack of one whose error is raised after the loop.
     """
     stacked = isinstance(model, (list, tuple))
     models, datasets, configs, seeds = (
@@ -160,13 +162,11 @@ def train(model, dataset, config, seed):
         raise ConfigError(
             f"lr_drop_points {first.lr_drop_points} exceed the run of {total_steps} steps"
         )
-    losses = [c.loss for c in configs]
-    loss = LossStack.of(losses) if stacked else first.loss
+    loss = LossStack.of([c.loss for c in configs]) if stacked else first.loss
     pick = (lambda a: a) if stacked else (lambda a: a[0])
 
-    # Run-major flat buffers: row k holds every parameter of run k, so
-    # dropping a run drops a row, and the update is one in-place operation.
-    # The gradient buffer has the same layout.
+    # Run-major flat buffers: row k holds every parameter of run k, and the
+    # update is one in-place operation. The gradient buffer has the same layout.
     layer_dims = models[0].layer_dims
     shapes = [p.shape for p in _parameters(models[0])]
     params = np.stack([np.concatenate([p.ravel() for p in _parameters(m)]) for m in models])
@@ -174,10 +174,8 @@ def train(model, dataset, config, seed):
     net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
     steps: dict = {}
     rngs = [np.random.default_rng(s) for s in seeds]
-    alive = list(range(len(models)))
     # history[run, step]: the step's lr, c_all, c_ce, c_sep and train_acc.
-    # rows picks the alive runs, a basic slice until a run leaves.
-    history, rows = np.empty((len(models), total_steps, 5)), slice(None)
+    history = np.empty((len(models), total_steps, 5))
     outcomes: list = [None] * len(models)
     batches = -(-size // first.batch_size)
 
@@ -187,10 +185,10 @@ def train(model, dataset, config, seed):
             orders = np.array([rng.permutation(size) for rng in rngs])
         idx = orders[:, start : start + first.batch_size]
         batch_x, batch_y, trace = _step_arrays(steps, idx.shape, datasets[0].dim)
-        for k, run in enumerate(alive):
+        for k, data in enumerate(datasets):
             # Permutation indices never clip; unlike "raise", "clip" writes out unbuffered.
-            np.take(datasets[run].features, idx[k], axis=0, out=batch_x[k], mode="clip")
-            np.take(datasets[run].labels, idx[k], out=batch_y[k], mode="clip")
+            np.take(data.features, idx[k], axis=0, out=batch_x[k], mode="clip")
+            np.take(data.labels, idx[k], out=batch_y[k], mode="clip")
         forward(net, pick(batch_x), trace)
         result = compute_loss(trace.embeddings, net.class_weights, pick(batch_y), loss)
         lr = lr_at(step, first)
@@ -199,37 +197,26 @@ def train(model, dataset, config, seed):
         for column, value in enumerate(
             (lr, result.total_loss, result.ce_loss, result.separator_loss, acc)
         ):
-            history[rows, step, column] = value
-        finite = np.isfinite(history[rows, step, 1])
-        for k in np.flatnonzero(~finite):
-            c_all, c_ce, c_sep = history[alive[k], step, 1:4].tolist()
-            error = DivergenceError(
-                f"training diverged at step {step}: total loss {c_all}, "
-                f"cross-entropy {c_ce}, separator {c_sep}"
-            )
-            if not stacked:
-                raise error
-            outcomes[alive[k]] = error
+            history[:, step, column] = value
+        for k in np.flatnonzero(~np.isfinite(history[:, step, 1])):
+            if outcomes[k] is None:
+                c_all, c_ce, c_sep = history[k, step, 1:4].tolist()
+                outcomes[k] = DivergenceError(
+                    f"training diverged at step {step}: total loss {c_all}, "
+                    f"cross-entropy {c_ce}, separator {c_sep}"
+                )
+        if None not in outcomes:
+            break
         backward(net, trace, result.grad_embeddings, ModelGrads(grads.weights, grads.biases))
         np.copyto(grads.class_weights, result.grad_weights)
         sgd_step(params, grad, velocities, lr, first.momentum, first.weight_decay)
 
-        if not finite.all():
-            # The diverged runs leave after their step; the others keep its results.
-            alive = [run for run, ok in zip(alive, finite) if ok]
-            if not alive:
-                break
-            rows = np.array(alive)
-            params, velocities, orders = params[finite], velocities[finite], orders[finite]
-            grad = np.empty_like(params)
-            net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
-            steps.clear()
-            rngs = [rng for rng, ok in zip(rngs, finite) if ok]
-            loss = LossStack.of([losses[run] for run in alive])
-
-    for k, run in enumerate(alive):
-        final = _unpack(params[k : k + 1].copy(), layer_dims, shapes, lambda a: a[0])
-        outcomes[run] = TrainReport(history=history[run], final_model=final)
+    for k, outcome in enumerate(outcomes):
+        if outcome is None:
+            final = _unpack(params[k : k + 1].copy(), layer_dims, shapes, lambda a: a[0])
+            outcomes[k] = TrainReport(history=history[k], final_model=final)
+    if not stacked and isinstance(outcomes[0], DivergenceError):
+        raise outcomes[0]
     return outcomes if stacked else outcomes[0]
 
 

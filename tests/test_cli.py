@@ -114,16 +114,20 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf"])
-    @pytest.mark.parametrize("field", ["weight_decay", "center_radius", "stddev", "noise"])
+    @pytest.mark.parametrize("field", [
+        "weight_decay", "base_lr", "lr_drop_factor", "sigma", "center_radius", "stddev", "noise",
+    ])
     def test_infinite_setting_rejected_before_the_run(self, tmp_path, capsys, field, value):
-        # Such a setting used to train and be reported as a divergence at step 0.
+        # Such a setting used to train and be reported as a divergence.
         with pytest.raises(ConfigError, match=field):
-            if field == "weight_decay":
-                TrainConfig(steps=1, weight_decay=float(value))
+            if field in ("weight_decay", "base_lr", "lr_drop_factor"):
+                TrainConfig(steps=1, **{field: float(value)})
+            elif field == "sigma":
+                LossConfig(sigma=float(value))
             else:
                 DatasetConfig(**{field: float(value)})
         out = tmp_path / "run"
-        flag = "--" + field.replace("_", "-")
+        flag = "--" + {"base_lr": "lr"}.get(field, field).replace("_", "-")
         code, _, err = run_cli(["train", *TINY, f"{flag}={value}", "--out", str(out)], capsys)
         assert code == 2
         assert field in err and "diverged" not in err
@@ -408,7 +412,7 @@ echo_floats = st.one_of(
     st.floats(allow_nan=False),
 )
 finite_echo_floats = echo_floats.filter(math.isfinite)
-positive_floats = st.floats(min_value=5e-324, allow_nan=False)
+positive_floats = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
 train_settings = dict(
     batch_size=st.integers(1, 10**4),
     base_lr=positive_floats,

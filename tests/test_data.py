@@ -21,7 +21,6 @@ from haseparator.data import (
     split_dataset,
     standardize,
     two_rings,
-    write_rows,
 )
 from haseparator.errors import (
     ConfigError,
@@ -446,18 +445,17 @@ class TestFilePathMemory:
         assert loaded.features.shape == (5000, 32)
         assert peak < 5 * 2**20
 
-    def test_write_rows_does_not_hold_the_table_as_floats(self):
+    def test_save_delimited_does_not_hold_the_table_as_floats(self):
         # 8000 x 64 embeddings (4 MB): one tolist() of the whole table traced
         # 16.2 MiB; formatting ROW_CHUNK rows at a time traces 2.1 MiB.
         rng = np.random.default_rng(14)
-        values, labels = rng.normal(size=(8000, 64)), np.repeat(np.arange(50), 160)
-        with open(os.devnull, "w") as fh:
-            tracemalloc.start()
-            try:
-                write_rows(fh, values, labels)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        table = Dataset(rng.normal(size=(8000, 64)), np.repeat(np.arange(50), 160), 50)
+        tracemalloc.start()
+        try:
+            save_delimited(table, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 4 * 2**20
 
 

@@ -224,24 +224,37 @@ class TestInPlaceUpdate:
     def test_stack_that_loses_a_run_matches_each_survivor_alone(self):
         # 72 rows in batches of 16: each epoch ends on a batch of 8, which
         # reuses the first rows of the full batches' arrays. sigma 1e300
-        # diverges after the first step; the stack then drops that run and
-        # rebuilds its step arrays. The runs share one dataset, then have
-        # their own: the last run's rows must still come from its own
-        # dataset once the middle one is gone.
+        # diverges at step 1 and sigma 2e76 a few steps later, once its
+        # weights' squared norms overflow; each diverged run keeps its place
+        # in the stack's arrays and keeps computing, unread. The runs share
+        # one dataset, then have their own: the third run's rows must still
+        # come from its own dataset once the second has diverged.
         shared = blob_train_set(per_class=30, dim=4)
-        own = [blob_train_set(seed=s, per_class=30, dim=4) for s in range(3)]
+        own = [blob_train_set(seed=s, per_class=30, dim=4) for s in range(4)]
         configs = [
             TrainConfig(steps=12, batch_size=16, base_lr=5.0,
                         loss=LossConfig(loss_kind="haseparator", sigma=sigma, margin=0.5))
-            for sigma in (3.0, 1e300, 5.0)
+            for sigma in (3.0, 1e300, 5.0, 2e76)
         ]
-        for data in ([shared] * 3, own):
+        for data in ([shared] * 4, own):
             models = [init_model((d.dim, 8, 6), d.num_classes, seed=50 + k)
                       for k, d in enumerate(data)]
             with np.errstate(all="ignore"):
-                reports = train(models, data, configs, [60, 61, 62])
+                reports = train(models, data, configs, [60, 61, 62, 63])
             assert isinstance(reports[1], DivergenceError)
             assert int(re.search(r"at step (\d+)", str(reports[1])).group(1)) > 0
+            steps = {}
+            for k in (1, 3):
+                # A diverging single run raises its stack entry's error, and
+                # its steps before the named one are finite.
+                with np.errstate(all="ignore"):
+                    with pytest.raises(DivergenceError) as info:
+                        train(models[k], data[k], configs[k], 60 + k)
+                    assert str(info.value) == str(reports[k])
+                    steps[k] = int(re.search(r"at step (\d+)", str(reports[k])).group(1))
+                    before = train(models[k], data[k], replace(configs[k], steps=steps[k]), 60 + k)
+                assert np.isfinite(before.history).all()
+            assert 1 == steps[1] < steps[3] < 12
             for k in (0, 2):
                 alone = train(models[k], data[k], configs[k], 60 + k)
                 assert parameter_bytes(reports[k].final_model) == parameter_bytes(
@@ -432,8 +445,8 @@ class TestTrain:
     @pytest.mark.parametrize("kind", ["softmax", "haseparator", "arcface"])
     def test_stack_run_whose_norms_overflow_leaves_alone(self, kind):
         # sigma 1e100 takes a run's weights past 1e154 in one step, where
-        # their squared norms overflow: that run leaves the stack at step 1,
-        # and the others keep the bits of their own runs.
+        # their squared norms overflow: that run diverges at step 1, and the
+        # others keep the bits of their own runs.
         data = blob_train_set(dim=4)
         configs = [TrainConfig(steps=12, batch_size=16, base_lr=1.0,
                                loss=LossConfig(loss_kind=kind, sigma=sigma, margin=0.5))
