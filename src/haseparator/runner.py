@@ -18,7 +18,8 @@ Rows score the test split only, bitwise as run_experiment scores it. A run
 that fails, in its config, data, training or evaluation, fails only its
 own rows (an error of a whole stack, other than a run's divergence,
 retrains its runs one at a time), and rows come back in grid order. A
-worker holds the datasets of all data seeds of its stack at once.
+worker holds the datasets of all data seeds of its stack at once. Only a
+sweep that forks workers imports the process pool (and multiprocessing).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import os
 import re
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -505,6 +505,8 @@ def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
     if workers <= 1:
         results = [_run_stack(stack) for stack in stacks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_stack, stacks))
 

@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -484,7 +487,9 @@ class TestSweepStacks:
 class TestSweepWorkers:
     """A fork pool starts every worker it is given at the first submit, so a
     sweep asks for no more workers than it has stacks. A recording fake
-    stands in for the pool, so these tests start no processes."""
+    stands in for the pool, so these tests start no processes; run_sweep
+    imports the pool from concurrent.futures when it forks, so the fake
+    goes there."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -503,7 +508,7 @@ class TestSweepWorkers:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return requested
 
     @pytest.mark.parametrize("losses, margins, jobs, expected", [
@@ -520,6 +525,50 @@ class TestSweepWorkers:
         for r in records:
             assert sweep_row(r) == cell_row(sweep.experiment, r.loss_kind, r.sigma,
                                             r.margin, r.seed)
+
+
+POOL_IMPORT_SCRIPT = """
+import sys
+from dataclasses import replace
+
+import haseparator, haseparator.cli
+from haseparator.losses import LossConfig
+from haseparator.runner import (
+    DatasetConfig, ExperimentConfig, SweepConfig, run_experiment, run_sweep,
+)
+from haseparator.trainer import TrainConfig
+
+def pool_loaded():
+    return sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules)
+
+template = ExperimentConfig(
+    dataset=DatasetConfig(kind="blobs", num_classes=3, per_class=20, dim=4),
+    hidden_dims=(8,), embedding_dim=6,
+    train=TrainConfig(steps=5, batch_size=16, loss=LossConfig(loss_kind="softmax")))
+run_experiment(template)
+sweep = SweepConfig(losses=("softmax",), seeds=(0, 1), experiment=template, jobs=1)
+serial = [vars(r) for r in run_sweep(sweep)]
+print(pool_loaded())
+forked = [vars(r) for r in run_sweep(replace(sweep, jobs=2))]
+print(pool_loaded())
+for row in serial + forked:
+    row.pop("wall_time_s")
+print(forked == serial and not serial[0]["error"])
+"""
+
+
+def test_only_a_forking_sweep_imports_the_pool(tmp_path):
+    """Importing the package, one run and a one-job sweep leave the process
+    pool and multiprocessing unimported; a two-stack sweep at two jobs forks
+    and imports them, with the same rows. A fresh interpreter, since this
+    one has imported them already."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]", "['concurrent.futures', 'multiprocessing']", "True"]
 
 
 class TestDefaultSeeds:
