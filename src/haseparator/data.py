@@ -28,7 +28,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         self.features = as_matrix(self.features)
@@ -58,8 +57,8 @@ def _stratified_split(features, labels, num_classes, rng, train_fraction=0.8):
         test_idx.append(members[n_train:])
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
-    train = Dataset(features[train_idx], labels[train_idx], num_classes, "train")
-    test = Dataset(features[test_idx], labels[test_idx], num_classes, "test")
+    train = Dataset(features[train_idx], labels[train_idx], num_classes)
+    test = Dataset(features[test_idx], labels[test_idx], num_classes)
     return train, test
 
 

@@ -10,11 +10,13 @@ parameter then carries a leading run axis (weights K x in x out, biases
 K x out, class weights K x N x C), and so do the inputs (K x B x D). Each
 run's products and sums are the ones its 2-d arrays would get.
 
-A training step's trace holds one array per layer, the rectified output of
-a hidden layer or the embeddings of the last, and two scratch buffers of
-the widest layer: forward's products go to one, and backward's deltas
-alternate between the two. backward reads each rectifier's mask from its
-output, since max(z, 0) > 0 exactly where z > 0, NaN and -0.0 included.
+A training step's trace keeps two scratch buffers of the widest layer and
+one buffer a layer: forward's products go to the first scratch buffer, each
+layer's output views the start of its own buffer, and backward's deltas
+alternate between the two scratch buffers. A buffer is replaced only when
+a batch needs more rows than it holds. backward reads each rectifier's mask
+from its output, since max(z, 0) > 0 exactly where z > 0, NaN and -0.0
+included.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ class ForwardTrace:
     """The values forward() records for backward().
 
     activations holds one array per layer: a hidden layer's rectified
-    output, then the embeddings. scratch holds two flat buffers, each with
-    room for one layer's output at the widest layer width: forward writes
-    its products to the first, and backward its deltas to both in turn, so
-    it can run on one trace any number of times.
+    output, then the embeddings, each a view of the start of its buffer in
+    scratch. scratch holds flat buffers: two of the widest layer, where
+    forward writes its products and backward its deltas in turn, then one
+    a layer, so backward can run on one trace any number of times.
     """
 
     inputs: np.ndarray
@@ -80,14 +82,6 @@ class ForwardTrace:
 class ModelGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-
-def _slot(arrays: list, i: int, shape) -> np.ndarray:
-    """arrays[i] when it has this shape, else a new array put in its place."""
-    arrays.extend([None] * (i + 1 - len(arrays)))
-    if arrays[i] is None or arrays[i].shape != shape:
-        arrays[i] = np.empty(shape)
-    return arrays[i]
 
 
 def _scratch(trace: ForwardTrace, j: int, shape) -> np.ndarray:
@@ -129,17 +123,18 @@ def _check_inputs(model: MlpModel, inputs) -> np.ndarray:
 def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the MLP body; the last layer is affine with no rectifier.
 
-    Given out, an earlier trace, forward writes into those of its arrays
-    whose shapes fit and returns it, with the values of a fresh trace.
+    Given out, an earlier trace, forward writes into those of its buffers
+    that are large enough and returns it, with the values of a fresh trace.
     """
     x = _check_inputs(model, inputs)
     trace = ForwardTrace(inputs=x) if out is None else out
     trace.inputs = activation = x
-    size = math.prod(x.shape[:-1]) * max(model.layer_dims[1:])
-    if len(trace.scratch) != 2 or trace.scratch[0].size < size:
-        trace.scratch = [np.empty(size), np.empty(size)]
+    rows, widths = math.prod(x.shape[:-1]), model.layer_dims[1:]
+    sizes = [rows * n for n in (max(widths), max(widths), *widths)]
+    if len(trace.scratch) != len(sizes) or any(a.size < n for a, n in zip(trace.scratch, sizes)):
+        trace.scratch = [np.empty(n) for n in sizes]
+    trace.activations = []
     last = len(model.weights) - 1
-    del trace.activations[last + 1 :]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         shape = (*x.shape[:-1], w.shape[-1])
         # The product goes to scratch and the bias is added out of place,
@@ -147,9 +142,10 @@ def forward(model: MlpModel, inputs, out: ForwardTrace | None = None) -> Forward
         # reduction loop, which can return the bias's NaN instead of the
         # product's.
         product = np.matmul(activation, w, out=_scratch(trace, 0, shape))
-        activation = np.add(product, b[..., None, :], out=_slot(trace.activations, i, shape))
+        activation = np.add(product, b[..., None, :], out=_scratch(trace, i + 2, shape))
         if i < last:
             np.maximum(activation, 0.0, out=activation)
+        trace.activations.append(activation)
     return trace
 
 

@@ -138,7 +138,8 @@ def train(model, dataset, config, seed):
     naming its first non-finite step. A diverged run keeps its place in
     the stack's arrays and keeps computing, but nothing reads its values
     again; training stops once every run has diverged. A single run is a
-    stack of one whose error is raised after the loop.
+    stack of one whose error is raised after the loop. The error reports a
+    non-finite step, so the step loop shows no numpy floating-point warning.
     """
     stacked = isinstance(model, (list, tuple))
     models, datasets, configs, seeds = (
@@ -172,44 +173,49 @@ def train(model, dataset, config, seed):
     params = np.stack([np.concatenate([p.ravel() for p in _parameters(m)]) for m in models])
     velocities, grad = np.zeros_like(params), np.empty_like(params)
     net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
-    steps: dict = {}
     rngs = [np.random.default_rng(s) for s in seeds]
     # history[run, step]: the step's lr, c_all, c_ce, c_sep and train_acc.
     history = np.empty((len(models), total_steps, 5))
     outcomes: list = [None] * len(models)
     batches = -(-size // first.batch_size)
+    # One batch's arrays and trace serve every step: an epoch's shorter last
+    # batch views their leading rows.
+    batch_x = np.empty((len(models), min(first.batch_size, size), datasets[0].dim))
+    batch_y = np.empty(batch_x.shape[:2], np.int64)
+    trace = ForwardTrace(None)
 
-    for step in range(total_steps):
-        start = (step % batches) * first.batch_size
-        if start == 0:
-            orders = np.array([rng.permutation(size) for rng in rngs])
-        idx = orders[:, start : start + first.batch_size]
-        batch_x, batch_y, trace = _step_arrays(steps, idx.shape, datasets[0].dim)
-        for k, data in enumerate(datasets):
-            # Permutation indices never clip; unlike "raise", "clip" writes out unbuffered.
-            np.take(data.features, idx[k], axis=0, out=batch_x[k], mode="clip")
-            np.take(data.labels, idx[k], out=batch_y[k], mode="clip")
-        forward(net, pick(batch_x), trace)
-        result = compute_loss(trace.embeddings, net.class_weights, pick(batch_y), loss)
-        lr = lr_at(step, first)
-        acc = accuracy(result.logits, pick(batch_y))
-        # A single run's values are scalars, and so is a margin-free stack's c_sep.
-        for column, value in enumerate(
-            (lr, result.total_loss, result.ce_loss, result.separator_loss, acc)
-        ):
-            history[:, step, column] = value
-        for k in np.flatnonzero(~np.isfinite(history[:, step, 1])):
-            if outcomes[k] is None:
-                c_all, c_ce, c_sep = history[k, step, 1:4].tolist()
-                outcomes[k] = DivergenceError(
-                    f"training diverged at step {step}: total loss {c_all}, "
-                    f"cross-entropy {c_ce}, separator {c_sep}"
-                )
-        if None not in outcomes:
-            break
-        backward(net, trace, result.grad_embeddings, ModelGrads(grads.weights, grads.biases))
-        np.copyto(grads.class_weights, result.grad_weights)
-        sgd_step(params, grad, velocities, lr, first.momentum, first.weight_decay)
+    with np.errstate(all="ignore"):
+        for step in range(total_steps):
+            start = (step % batches) * first.batch_size
+            if start == 0:
+                orders = np.array([rng.permutation(size) for rng in rngs])
+            idx = orders[:, start : start + first.batch_size]
+            x, y = batch_x[:, : idx.shape[1]], batch_y[:, : idx.shape[1]]
+            for k, data in enumerate(datasets):
+                # Permutation indices never clip; unlike "raise", "clip" writes out unbuffered.
+                np.take(data.features, idx[k], axis=0, out=x[k], mode="clip")
+                np.take(data.labels, idx[k], out=y[k], mode="clip")
+            forward(net, pick(x), trace)
+            result = compute_loss(trace.embeddings, net.class_weights, pick(y), loss)
+            lr = lr_at(step, first)
+            acc = accuracy(result.logits, pick(y))
+            # A single run's values are scalars, and so is a margin-free stack's c_sep.
+            for column, value in enumerate(
+                (lr, result.total_loss, result.ce_loss, result.separator_loss, acc)
+            ):
+                history[:, step, column] = value
+            for k in np.flatnonzero(~np.isfinite(history[:, step, 1])):
+                if outcomes[k] is None:
+                    c_all, c_ce, c_sep = history[k, step, 1:4].tolist()
+                    outcomes[k] = DivergenceError(
+                        f"training diverged at step {step}: total loss {c_all}, "
+                        f"cross-entropy {c_ce}, separator {c_sep}"
+                    )
+            if None not in outcomes:
+                break
+            backward(net, trace, result.grad_embeddings, ModelGrads(grads.weights, grads.biases))
+            np.copyto(grads.class_weights, result.grad_weights)
+            sgd_step(params, grad, velocities, lr, first.momentum, first.weight_decay)
 
     for k, outcome in enumerate(outcomes):
         if outcome is None:
@@ -218,21 +224,6 @@ def train(model, dataset, config, seed):
     if not stacked and isinstance(outcomes[0], DivergenceError):
         raise outcomes[0]
     return outcomes if stacked else outcomes[0]
-
-
-def _step_arrays(steps, shape, dim):
-    """steps[shape]: the batch features, labels and trace of a runs x rows
-    batch, made on first use. An epoch's shorter last batch views the first
-    rows of a full batch's arrays and shares its trace's scratch buffers."""
-    if shape not in steps:
-        longer = [s for s in steps if s[1] > shape[1]]
-        if not longer:
-            steps[shape] = np.empty((*shape, dim)), np.empty(shape, np.int64), ForwardTrace(None)
-            return steps[shape]
-        batch_x, batch_y, trace = steps[longer[0]]
-        steps[shape] = batch_x[:, : shape[1]], batch_y[:, : shape[1]], ForwardTrace(
-            None, [a[..., : shape[1], :] for a in trace.activations], list(trace.scratch))
-    return steps[shape]
 
 
 def _parameters(model: MlpModel) -> list[np.ndarray]:

@@ -135,7 +135,7 @@ class TestTrain:
 
     def test_file_dataset_kind(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        data = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), 2, "all")
+        data = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), 2)
         csv_path = tmp_path / "points.csv"
         save_delimited(data, csv_path)
         code, stdout, _ = run_cli(
@@ -222,7 +222,7 @@ class TestEval:
         # one row of each class, so it has no positive pairs to score.
         table = tmp_path / "small.csv"
         rng = np.random.default_rng(0)
-        save_delimited(Dataset(rng.normal(size=(12, 3)), np.arange(12) % 3, 3, "all"), table)
+        save_delimited(Dataset(rng.normal(size=(12, 3)), np.arange(12) % 3, 3), table)
         dataset = ["--dataset", f"file:{table}"]
         model = [*dataset, "--hidden-dims", "8", "--embedding-dim", "4", "--steps", "5"]
         trained = tmp_path / "trained"
@@ -246,7 +246,7 @@ class TestEval:
         # sweep row fail on it, naming the split, before any training.
         table = tmp_path / "small.csv"
         rng = np.random.default_rng(0)
-        save_delimited(Dataset(rng.normal(size=(12, 3)), np.arange(12) % 3, 3, "all"), table)
+        save_delimited(Dataset(rng.normal(size=(12, 3)), np.arange(12) % 3, 3), table)
         dataset = ["--dataset", f"file:{table}"]
         trained = tmp_path / "trained"
         code, _, _ = run_cli(["train", *dataset, "--train-fraction", "0.5", "--steps", "5",
@@ -277,7 +277,7 @@ class TestEval:
         assert all(r.error.startswith(f"ConfigError: {named}") for r in records)
         assert all("--train-fraction 0.8" in r.error for r in records)
         # A class of one row stays in the train split: the test split has one class.
-        save_delimited(Dataset(rng.normal(size=(11, 3)), np.arange(11) // 10, 2, "all"), table)
+        save_delimited(Dataset(rng.normal(size=(11, 3)), np.arange(11) // 10, 2), table)
         with pytest.raises(ConfigError, match="test split has 2 rows in 1 classes, so no negative"):
             runner.run_experiment(ExperimentConfig(dataset=DatasetConfig(kind=f"file:{table}"),
                                                    train=TrainConfig(steps=5)))
@@ -393,8 +393,7 @@ class TestSweep:
 
 def write_points(path, rows=40, dim=3, classes=2) -> None:
     rng = np.random.default_rng(0)
-    data = Dataset(rng.normal(size=(rows, dim)), rng.integers(0, classes, size=rows),
-                   classes, "all")
+    data = Dataset(rng.normal(size=(rows, dim)), rng.integers(0, classes, size=rows), classes)
     save_delimited(data, path)
 
 

@@ -68,10 +68,10 @@ def float_table(rows, cols):
 class TestDataset:
     def test_validates_label_range(self):
         with pytest.raises(LabelError):
-            Dataset(np.ones((2, 2)), [0, 5], num_classes=2, split="train")
+            Dataset(np.ones((2, 2)), [0, 5], num_classes=2)
 
     def test_length_and_dim(self):
-        d = Dataset(np.ones((3, 4)), [0, 1, 0], num_classes=2, split="train")
+        d = Dataset(np.ones((3, 4)), [0, 1, 0], num_classes=2)
         assert len(d) == 3 and d.dim == 4
 
 
@@ -134,14 +134,14 @@ class TestTwoRings:
 
 class TestSplit:
     def test_split_is_disjoint_and_covers(self):
-        full = Dataset(np.arange(40.0).reshape(20, 2), [i % 2 for i in range(20)], 2, "train")
+        full = Dataset(np.arange(40.0).reshape(20, 2), [i % 2 for i in range(20)], 2)
         train, test = split_dataset(full, seed=7)
         key = lambda d: {tuple(row) for row in d.features}
         assert key(train) & key(test) == set()
         assert key(train) | key(test) == key(full)
 
     def test_split_deterministic(self):
-        full = Dataset(np.arange(40.0).reshape(20, 2), [i % 2 for i in range(20)], 2, "train")
+        full = Dataset(np.arange(40.0).reshape(20, 2), [i % 2 for i in range(20)], 2)
         a, _ = split_dataset(full, seed=8)
         b, _ = split_dataset(full, seed=8)
         np.testing.assert_array_equal(a.features, b.features)
@@ -163,7 +163,7 @@ class TestStandardize:
 class TestLoadDelimited:
     def test_round_trip_pre_standardization(self, tmp_path):
         rng = np.random.default_rng(10)
-        original = Dataset(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12), 3, "train")
+        original = Dataset(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12), 3)
         path = tmp_path / "data.csv"
         save_delimited(original, path)
         loaded = load_delimited(path)
@@ -205,7 +205,7 @@ class TestLoadDelimited:
 
     def test_whitespace_padded_cells_parse_to_the_same_bits(self, tmp_path):
         rng = np.random.default_rng(11)
-        original = Dataset(rng.normal(size=(9, 3)), rng.integers(0, 3, size=9), 3, "train")
+        original = Dataset(rng.normal(size=(9, 3)), rng.integers(0, 3, size=9), 3)
         plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
         save_delimited(original, plain)
         padded.write_text("".join(

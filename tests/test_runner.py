@@ -74,7 +74,7 @@ class TestBuildDatasets:
 
     def test_file_kind_loads_and_splits(self, tmp_path):
         rng = np.random.default_rng(1)
-        full = Dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30), 2, "train")
+        full = Dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30), 2)
         path = tmp_path / "data.csv"
         save_delimited(full, path)
         train, test = build_datasets(DatasetConfig(kind=f"file:{path}"), seed=0)
@@ -146,7 +146,7 @@ class TestEvaluateModel:
         # training forward kept every layer's arrays and traced 88.0 MiB;
         # holding one layer's input, product and sum traces 58.7 MiB.
         rng = np.random.default_rng(4)
-        data = Dataset(rng.normal(size=(5000, 64)), np.arange(5000) % 10, 10, "test")
+        data = Dataset(rng.normal(size=(5000, 64)), np.arange(5000) % 10, 10)
         model = init_model((64, 512, 512, 128), 10, seed=4)
         tracemalloc.start()
         try:
@@ -411,7 +411,7 @@ class TestSweepStacks:
         evaluate = runner.evaluate_model
 
         def counted(model, dataset, **kwargs):
-            scored.append(dataset.split)
+            scored.append(dataset.features.tobytes())
             return evaluate(model, dataset, **kwargs)
 
         monkeypatch.setattr(runner, "evaluate_model", counted)
@@ -419,7 +419,9 @@ class TestSweepStacks:
                    for margin in (0.4, 0.8) for seed in (0, 1)]
         outcomes = runner._run_stack(configs)
         assert all(isinstance(outcome, tuple) for outcome, _ in outcomes)
-        assert scored == ["test"] * len(configs)
+        tests = [runner.build_datasets(c.dataset, runner.derive_seeds(c.seed)["data"])[1]
+                 for c in configs]
+        assert scored == [test.features.tobytes() for test in tests]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:excluded .* zero embeddings:UserWarning")

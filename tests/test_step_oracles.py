@@ -144,6 +144,14 @@ def test_forward_and_backward_match_reference(net, data):
         assert_grads_same(backward(model, got, upstream, grad_views(model)), want_grads)
 
 
+def assert_layer_views(trace, model):
+    """trace.scratch holds two scratch buffers and one buffer a layer, and
+    each activation is a view of its layer's buffer."""
+    assert len(trace.scratch) == len(model.weights) + 2
+    for a, buffer in zip(trace.activations, trace.scratch[2:], strict=True):
+        assert a.base is buffer
+
+
 @settings(max_examples=50, deadline=None)
 @given(nets(), st.data())
 def test_forward_into_a_reused_trace_equals_a_fresh_one(net, data):
@@ -153,13 +161,37 @@ def test_forward_into_a_reused_trace_equals_a_fresh_one(net, data):
     with np.errstate(all="ignore"):
         trace = forward(model, earlier)
         backward(model, trace, upstream)
-        arrays = [id(a) for a in (*trace.activations, *trace.scratch)]
-        assert len(arrays) == len(model.weights) + 2
+        buffers = [id(a) for a in trace.scratch]
         assert forward(model, inputs, trace) is trace
+        assert_layer_views(trace, model)
         assert_traces_same(trace, reference_forward(model, inputs))
         assert_grads_same(backward(model, trace, upstream),
                           reference_backward(model, reference_forward(model, inputs), upstream))
-        assert [id(a) for a in (*trace.activations, *trace.scratch)] == arrays
+        assert [id(a) for a in trace.scratch] == buffers
+
+
+@settings(max_examples=50, deadline=None)
+@given(nets(), st.data())
+def test_forward_of_fewer_rows_reuses_the_trace(net, data):
+    # The trainer forwards an epoch's shorter last batch, a leading-rows
+    # view of the full batch's array, into the full batch's trace.
+    model, inputs = net
+    rows = inputs.shape[-2]
+    longer = (*inputs.shape[:-2], rows + data.draw(st.integers(1, 3)), inputs.shape[-1])
+    batch = data.draw(matrices(longer))
+    upstream = data.draw(matrices((*inputs.shape[:-1], model.layer_dims[-1])))
+    with np.errstate(all="ignore"):
+        trace = forward(model, batch)
+        backward(model, trace, data.draw(matrices(trace.embeddings.shape)))
+        buffers = list(trace.scratch)
+        batch[..., :rows, :] = inputs
+        assert forward(model, batch[..., :rows, :], trace) is trace
+        assert all(a is b for a, b in zip(trace.scratch, buffers, strict=True))
+        assert_layer_views(trace, model)
+        want = reference_forward(model, inputs)
+        assert_traces_same(trace, want)
+        assert_grads_same(backward(model, trace, upstream),
+                          reference_backward(model, want, upstream))
 
 
 def one_entry_net(dims, runs=None):

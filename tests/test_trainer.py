@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -264,10 +265,11 @@ class TestInPlaceUpdate:
 
     def test_stack_memory_is_bounded(self):
         # A 25-run separator stack of the margin sweep's shapes over 20
-        # steps peaks at 5.0 MB under tracemalloc: the trace keeps one array
-        # per layer and two scratch buffers. It peaked at 6.0 MB when the
-        # trace also kept each pre-activation, the last product and one
-        # delta per hidden layer.
+        # steps peaks at 5.0 MB under tracemalloc: the trace keeps two
+        # scratch buffers and one buffer per layer, made for the full batch
+        # and viewed by an epoch's shorter last one. It peaked at 6.0 MB
+        # when the trace also kept each pre-activation, the last product
+        # and one delta per hidden layer.
         peak, _ = traced_sweep_stack(20)
         assert peak <= 5.6e6
 
@@ -428,6 +430,22 @@ class TestTrain:
             report = train(model, data, replace(cfg, steps=step), seed=0)
         assert step > 0
         assert all(math.isfinite(r.c_all) for r in report.records)
+
+    def test_divergence_raises_no_numpy_warning(self):
+        # sigma 1e300 overflows the loss at step 1. The DivergenceError is
+        # the report: the overflow and invalid-value warnings on the way
+        # there are not shown, so under "error" they do not preempt it.
+        data = blob_train_set()
+        model = init_model((data.dim, 8, 4), data.num_classes, seed=18)
+        configs = [TrainConfig(steps=5, loss=LossConfig(loss_kind="haseparator", sigma=sigma))
+                   for sigma in (1e300, 3.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="at step 1"):
+                train(model, data, configs[0], seed=0)
+            reports = train([model, model], [data, data], configs, [0, 0])
+        assert isinstance(reports[0], DivergenceError)
+        assert isinstance(reports[1], trainer.TrainReport)
 
     def test_overflowing_norm_is_reported_as_divergence(self):
         # weight_decay 1e6 at base_lr 10 scales the weights by about -1e7 a
