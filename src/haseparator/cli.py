@@ -18,7 +18,9 @@ back is rejected before anything runs. A key is a flag name or the dotted
 field path that config.txt echoes, so `train --config <run>/config.txt` and
 `sweep --config <sweep>/config.txt` replay a run, and `eval --config
 <run>/config.txt` replays its evaluation. train.loss.arc_margin is in
-radians, --arc-margin-deg in degrees. Flags override file values, and the
+radians, --arc-margin-deg in degrees. Two file lines that set one field
+(one key twice, a flag name and its dotted path, or sweep's seeds beside
+seed or num-seeds) are rejected. Flags override file values, and the
 effective settings are echoed into the output directory next to the results.
 """
 
@@ -121,8 +123,9 @@ def _keys(command: str) -> tuple[dict, list[str]]:
     return keys, flags
 
 
-def parse_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def parse_config_file(path) -> list[tuple[int, str, str]]:
+    """The (line number, key, value) of each key=value line, in file order."""
+    entries = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -135,8 +138,8 @@ def parse_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+            entries.append((lineno, key.strip(), value.strip()))
+    return entries
 
 
 def _build(config, values: dict, prefix=""):
@@ -158,12 +161,20 @@ def _config(args, command: str):
     keys, flags = _keys(command)
     values = {}
     if args.config:
-        file_values = parse_config_file(args.config)
-        unknown = sorted(set(file_values) - set(keys))
+        entries = parse_config_file(args.config)
+        unknown = sorted({key for _, key, _ in entries} - set(keys))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for key, text in file_values.items():
+        setters = {}
+        for lineno, key, text in entries:
             path, parse = keys[key]
+            # sweep's seed and num-seeds each set a part of seeds.
+            for part in ("seed", "num-seeds") if path == "seeds" else (path,):
+                if part in setters:
+                    first, first_key = setters[part]
+                    raise ConfigError(f"{args.config}:{lineno}: {key!r} sets the same field "
+                                      f"as {first_key!r} on line {first}")
+                setters[part] = lineno, key
             try:
                 values[path] = parse(text)
             except ValueError as exc:

@@ -240,13 +240,11 @@ def _separator(e_hat, cosines, w_hat, target, margin):
     # Projections onto unit normals lie in [-1, 1]. The clip only removes
     # rounding, which 1 / d amplifies for nearly collinear columns.
     projections = np.clip(projections, -1.0, 1.0)
-    _, loss = _hinge(projections, margin, target)
+    costs, loss = _hinge(projections, margin, target)
 
-    # Hinge subgradient -1/B on active non-target entries, 0 elsewhere
-    # (including exactly at the kink p == margin), times dp/dcos = 1/d.
-    active = projections < margin
-    active[target] = False
-    slope = np.where(active, -1.0 / batch, 0.0) * inv_lengths
+    # Hinge subgradient -1/B on active entries, those of positive cost (not
+    # the target, nor the kink p == margin), 0 elsewhere, times dp/dcos = 1/d.
+    slope = np.where(costs > 0, -1.0 / batch, 0.0) * inv_lengths
 
     # p_ij rises with cos_it and falls with cos_ij.
     grad_cos = -slope

@@ -28,13 +28,11 @@ PAIR_CHUNK = 1024
 
 @dataclass
 class AngleHistograms:
-    """Binned positive/negative pair-angle counts over uniform degree bins."""
+    """Positive/negative pair-angle counts over uniform degree bins; a kind's total is their sum."""
 
     bin_edges: np.ndarray
     pos_counts: np.ndarray
     neg_counts: np.ndarray
-    pos_total: int
-    neg_total: int
 
     @property
     def num_bins(self) -> int:
@@ -217,9 +215,15 @@ def build_histograms(pos_angles, neg_angles, num_bins: int = DEFAULT_BINS) -> An
         bin_edges=edges,
         pos_counts=pos_counts.astype(np.int64),
         neg_counts=neg_counts.astype(np.int64),
-        pos_total=int(pos_counts.sum()),
-        neg_total=int(neg_counts.sum()),
     )
+
+
+def _fractions(h: AngleHistograms) -> tuple[np.ndarray, np.ndarray]:
+    """The positive and negative counts, each divided by its total."""
+    pos_total, neg_total = h.pos_counts.sum(), h.neg_counts.sum()
+    if pos_total <= 0 or neg_total <= 0:
+        raise ValueError("both histograms must contain mass")
+    return h.pos_counts / pos_total, h.neg_counts / neg_total
 
 
 def kl_divergence(h: AngleHistograms) -> float:
@@ -229,12 +233,7 @@ def kl_divergence(h: AngleHistograms) -> float:
     the result renormalized, so empty bins never produce infinities and the
     value is independent of the absolute pair counts. Natural log.
     """
-    if h.pos_total <= 0 or h.neg_total <= 0:
-        raise ValueError("both histograms must contain mass")
-    p = h.pos_counts / h.pos_total
-    q = h.neg_counts / h.neg_total
-    p = (p + KL_SMOOTHING) / (1.0 + h.num_bins * KL_SMOOTHING)
-    q = (q + KL_SMOOTHING) / (1.0 + h.num_bins * KL_SMOOTHING)
+    p, q = ((f + KL_SMOOTHING) / (1.0 + h.num_bins * KL_SMOOTHING) for f in _fractions(h))
     return float(np.sum(p * np.log(p / q)))
 
 
@@ -244,10 +243,7 @@ def emd_1d(h: AngleHistograms) -> float:
     With bin centers as mass locations the optimal transport cost on a line
     reduces to bin_width * sum |CDF_pos - CDF_neg|.
     """
-    if h.pos_total <= 0 or h.neg_total <= 0:
-        raise ValueError("both histograms must contain mass")
-    p = h.pos_counts / h.pos_total
-    q = h.neg_counts / h.neg_total
+    p, q = _fractions(h)
     return float(h.bin_width * np.sum(np.abs(np.cumsum(p - q))))
 
 

@@ -226,8 +226,8 @@ def save_checkpoint(model: MlpModel, path) -> None:
 def load_checkpoint(path) -> MlpModel:
     """Read a checkpoint written by save_checkpoint one parameter block at a
     time: each block, under the header that the layer_dims and num_classes
-    lines give, is parsed by one np.loadtxt call over its lines. Raises
-    CheckpointError naming the path."""
+    lines give, is parsed by one np.loadtxt call over its lines; only blank
+    lines may follow the last block. Raises CheckpointError naming the path."""
     lines = (ln.rstrip("\r\n") for ln in read_text_lines(path, CheckpointError))
     try:
         if next(lines, None) != CHECKPOINT_MAGIC:
@@ -253,6 +253,9 @@ def load_checkpoint(path) -> MlpModel:
             if not np.all(np.isfinite(values)):
                 raise CheckpointError(f"{path}: parameter {name} has non-finite values")
             blocks.append(values)
+        extra = next((ln for ln in lines if ln.strip()), None)
+        if extra is not None:
+            raise CheckpointError(f"{path}: unexpected line after the last block: {extra!r}")
     except CheckpointError:
         raise
     except (ValueError, IndexError) as exc:

@@ -31,7 +31,7 @@ import os
 import re
 import time
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .metrics import (
 # dropping it belongs to ROADMAP item 1's benchmark change.
 from .model import MlpModel, embed, forward, init_model, save_checkpoint
 from .tensor import normalize
-from .trainer import TrainConfig, TrainReport, train, write_report_csv
+from .trainer import HISTORY_COLUMNS, TrainConfig, TrainReport, train, write_report_csv
 
 DATASET_KINDS = ("blobs", "rings")
 FILE_PREFIX = "file:"
@@ -414,10 +414,10 @@ def _error_text(exc: Exception) -> str:
 def _run_stack(configs) -> list[tuple]:
     """Train distinct runs of one loss kind as one stack, then score each test split.
 
-    Returns one (outcome, seconds) per config: outcome is the test accuracy,
-    d_kl and d_em and the final separator cost, or the error text of
-    whatever failed the run (data, set-up, training, divergence or
-    test-split evaluation).
+    Returns one (outcome, seconds) per config. outcome maps SweepRecord
+    field names to values: the test split's DiscriminationScores fields and
+    final_c_t, the last step's c_sep; or error, the text of whatever failed
+    the run (data, set-up, training, divergence or test-split evaluation).
     """
     start = time.perf_counter()
     outcomes: list = [None] * len(configs)
@@ -427,7 +427,7 @@ def _run_stack(configs) -> list[tuple]:
         try:
             runs.append((i, *_setup(config, datasets, splits=("test",))))
         except Exception as exc:
-            outcomes[i] = _error_text(exc)
+            outcomes[i] = {"error": _error_text(exc)}
     reports: list = []
     if runs:
         ids, seeds, data, models = zip(*runs)
@@ -444,18 +444,18 @@ def _run_stack(configs) -> list[tuple]:
             # returns per run): train each run alone, so it fails only its own.
             reports = [_train_alone(*run) for run in zip(*args)]
     times = [(time.perf_counter() - start) / len(configs)] * len(configs)
+    c_sep = HISTORY_COLUMNS.index("c_sep")
     for (i, _, data, _), report in zip(runs, reports):
         if isinstance(report, Exception):
-            outcomes[i] = _error_text(report)
+            outcomes[i] = {"error": _error_text(report)}
             continue
         start = time.perf_counter()
         try:
             _, scores = evaluate_splits(report.final_model, configs[i], data, splits=("test",))
-            test = scores["test"]
-            final_c_t = float(report.history[-1, 3]) if len(report.history) else math.nan
-            outcomes[i] = (test.accuracy, test.d_kl, test.d_em, final_c_t)
+            final_c_t = float(report.history[-1, c_sep]) if len(report.history) else math.nan
+            outcomes[i] = {**asdict(scores["test"]), "final_c_t": final_c_t}
         except Exception as exc:
-            outcomes[i] = _error_text(exc)
+            outcomes[i] = {"error": _error_text(exc)}
         times[i] += time.perf_counter() - start
     return list(zip(outcomes, times))
 
@@ -479,9 +479,9 @@ def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
     its run with the test split alone scored: run_experiment scores the
     train split first, and may fail there.
     """
-    records, rows = [], {}
+    records, rows = [], {}  # rows: each distinct config's cells, by grid index
     grid = itertools.product(sweep.losses, sweep.sigmas, sweep.margins, sweep.seeds)
-    for loss, sigma, margin, seed in grid:
+    for cell, (loss, sigma, margin, seed) in enumerate(grid):
         record = SweepRecord(loss, float(sigma), float(margin), int(seed))
         records.append(record)
         start = time.perf_counter()
@@ -491,7 +491,7 @@ def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
             record.error = _error_text(exc)
             record.wall_time_s = time.perf_counter() - start
             continue
-        rows.setdefault(config, []).append(record)
+        rows.setdefault(config, []).append(cell)
 
     stacks = []
     for kind in sweep.losses:
@@ -512,12 +512,9 @@ def run_sweep(sweep: SweepConfig) -> list[SweepRecord]:
 
     for stack, outcomes in zip(stacks, results):
         for config, (outcome, seconds) in zip(stack, outcomes):
-            for record in rows[config]:
-                record.wall_time_s = seconds / len(rows[config])
-                if isinstance(outcome, str):
-                    record.error = outcome
-                else:
-                    record.accuracy, record.d_kl, record.d_em, record.final_c_t = outcome
+            share = seconds / len(rows[config])
+            for cell in rows[config]:
+                records[cell] = replace(records[cell], **outcome, wall_time_s=share)
     return records
 
 

@@ -10,7 +10,8 @@ reproducible, alone or in a stack of runs trained together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,20 +58,15 @@ class TrainConfig:
         object.__setattr__(self, "lr_drop_points", drops)
 
 
-@dataclass
-class StepRecord:
-    step: int
-    lr: float
-    c_all: float
-    c_ce: float
-    c_sep: float
-    train_acc: float
+# A training step's values, in the order of a history row and report.csv.
+HISTORY_COLUMNS = ("lr", "c_all", "c_ce", "c_sep", "train_acc")
+StepRecord = namedtuple("StepRecord", ("step", *HISTORY_COLUMNS))
 
 
 @dataclass
 class TrainReport:
-    """A run's trained model and its history: a (steps, 5) float64 array
-    whose row i holds step i's lr, c_all, c_ce, c_sep and train_acc."""
+    """A run's trained model and its history: a (steps, len(HISTORY_COLUMNS))
+    float64 array whose row i holds step i's values of HISTORY_COLUMNS."""
 
     history: np.ndarray
     final_model: MlpModel
@@ -174,8 +170,8 @@ def train(model, dataset, config, seed):
     velocities, grad = np.zeros_like(params), np.empty_like(params)
     net, grads = (_unpack(b, layer_dims, shapes, pick) for b in (params, grad))
     rngs = [np.random.default_rng(s) for s in seeds]
-    # history[run, step]: the step's lr, c_all, c_ce, c_sep and train_acc.
-    history = np.empty((len(models), total_steps, 5))
+    # history[run, step]: the step's values of HISTORY_COLUMNS, in order.
+    history = np.empty((len(models), total_steps, len(HISTORY_COLUMNS)))
     outcomes: list = [None] * len(models)
     batches = -(-size // first.batch_size)
     # One batch's arrays and trace serve every step: an epoch's shorter last
@@ -231,11 +227,9 @@ def _parameters(model: MlpModel) -> list[np.ndarray]:
 
 
 def write_report_csv(report: TrainReport, path) -> None:
-    """One CRLF-terminated row per step; the columns are StepRecord's fields,
-    in order: the step (its history row index) as %d, then the history
-    columns as %.17g."""
-    columns = [f.name for f in fields(StepRecord)]
-    line = "%d" + ",%.17g" * (len(columns) - 1) + "\r\n"
+    """One CRLF-terminated row per step: the step (its history row index)
+    as %d, then its HISTORY_COLUMNS as %.17g, under a header of their names."""
+    line = "%d" + ",%.17g" * len(HISTORY_COLUMNS) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
+        fh.write(",".join(("step", *HISTORY_COLUMNS)) + "\r\n")
         fh.writelines(line % (step, *row) for step, row in enumerate(report.history.tolist()))

@@ -174,7 +174,7 @@ def _hist(pos_counts, neg_counts, span=180.0):
     pos = np.asarray(pos_counts, dtype=np.float64)
     neg = np.asarray(neg_counts, dtype=np.float64)
     edges = np.linspace(0.0, span, pos.size + 1)
-    return AngleHistograms(edges, pos, neg, float(pos.sum()), float(neg.sum()))
+    return AngleHistograms(edges, pos, neg)
 
 
 def test_distance_oracle(capsys):

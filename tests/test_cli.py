@@ -42,7 +42,7 @@ class TestParseConfigFile:
     def test_comments_blanks_and_whitespace(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\n\n  steps = 30  # trailing\nsigma=2.5\n")
-        assert parse_config_file(path) == {"steps": "30", "sigma": "2.5"}
+        assert parse_config_file(path) == [(3, "steps", "30"), (4, "sigma", "2.5")]
 
     def test_missing_equals_reports_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -192,6 +192,34 @@ class TestConfigFile:
         )
         assert code == 2
         assert "steps" in stderr
+
+    # (command, file text, the key of the first line that sets the field and
+    # its line number, the key that sets it again and its line number)
+    @pytest.mark.parametrize("command, text, first, second", [
+        ("train", "steps=3\n# four\nsteps=4\n", ("steps", 1), ("steps", 3)),
+        ("train", "lr=0.5\ntrain.base_lr=0.2\n", ("lr", 1), ("train.base_lr", 2)),
+        ("train", "train.loss.arc_margin=0.1\narc-margin-deg=30\n",
+         ("train.loss.arc_margin", 1), ("arc-margin-deg", 2)),
+        ("sweep", "seed=1\nseeds=0,1\n", ("seed", 1), ("seeds", 2)),
+        ("sweep", "seeds=0,1\n\nnum-seeds=2\n", ("seeds", 1), ("num-seeds", 3)),
+        ("eval", "dataset.kind=rings\ndataset=blobs\n", ("dataset.kind", 1), ("dataset", 2)),
+    ])
+    def test_field_set_twice_names_both_lines(self, tmp_path, capsys, command, text,
+                                              first, second):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        code, _, stderr = run_cli([command, "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr == (f"error: {cfg}:{second[1]}: {second[0]!r} sets the same field as "
+                          f"{first[0]!r} on line {first[1]}\n")
+        assert not out.exists()
+
+    def test_sweep_seed_and_num_seeds_set_seeds_together(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\nnum-seeds=2\n")
+        args = build_parser().parse_args(["sweep", "--config", str(cfg), "--seed", "7"])
+        assert _config(args, "sweep")[0].seeds == (7, 8)
 
 
 class TestEval:

@@ -520,8 +520,7 @@ class TestTextTables:
         out = tmp_path_factory.mktemp("hist")
         counts = arrays(np.int64, bins, elements=st.integers(0, 2**40))
         pos, neg = data.draw(counts), data.draw(counts)
-        h = AngleHistograms(data.draw(float_table(1, bins + 1)).reshape(-1), pos, neg,
-                            int(pos.sum()), int(neg.sum()))
+        h = AngleHistograms(data.draw(float_table(1, bins + 1)).reshape(-1), pos, neg)
         write_histogram_csv(h, out / "new.csv")
         per_value_write_histogram_csv(h, out / "old.csv")
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()

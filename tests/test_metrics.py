@@ -39,8 +39,6 @@ def hist_from_counts(pos, neg, span=180.0):
         bin_edges=edges,
         pos_counts=pos,
         neg_counts=neg,
-        pos_total=int(pos.sum()),
-        neg_total=int(neg.sum()),
     )
 
 
@@ -320,8 +318,8 @@ class TestBuildHistograms:
     def test_totals_match_counts(self):
         rng = np.random.default_rng(5)
         h = build_histograms(rng.uniform(0, 180, 100), rng.uniform(0, 180, 50), num_bins=18)
-        assert h.pos_counts.sum() == h.pos_total == 100
-        assert h.neg_counts.sum() == h.neg_total == 50
+        assert h.pos_counts.sum() == 100
+        assert h.neg_counts.sum() == 50
 
     def test_empty_angles_rejected(self):
         with pytest.raises(ValueError):

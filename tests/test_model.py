@@ -278,8 +278,11 @@ class TestCheckpoint:
         lambda lines: [*lines[:5], "x" + lines[5][1:], *lines[6:]],
         lambda lines: lines[:-1],
         lambda lines: lines[:9],
+        lambda lines: [*lines, lines[-1]],
+        lambda lines: [*lines, "param layer9.weight 1 1", "0"],
     ], ids=["magic", "missing header", "dimensions", "unknown parameter", "header shape",
-            "long row", "non-numeric", "truncated block", "missing parameter"])
+            "long row", "non-numeric", "truncated block", "missing parameter",
+            "extra row in the last block", "trailing lines"])
     def test_malformed_file_names_its_path(self, tmp_path, edit):
         path = tmp_path / "model.txt"
         save_checkpoint(init_model((3, 4), 2, seed=16), path)
@@ -288,6 +291,14 @@ class TestCheckpoint:
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
+
+    def test_blank_lines_after_the_last_block_load(self, tmp_path):
+        model = init_model((3, 4), 2, seed=16)
+        path = tmp_path / "model.txt"
+        save_checkpoint(model, path)
+        with open(path, "a") as fh:
+            fh.write("\n  \n")
+        assert load_checkpoint(path).class_weights.tobytes() == model.class_weights.tobytes()
 
     def test_load_holds_the_parameters_not_the_text(self, tmp_path):
         # 3.7 MiB of parameters in a 9.9 MiB file. Reading every line into a

@@ -319,7 +319,8 @@ def cell_row(template, loss, sigma, margin, seed):
 
 def stack_rows(configs):
     """runner._run_stack's outcome for each config, as cell_row gives it."""
-    return [outcome if isinstance(outcome, str) else tuple(v.hex() for v in outcome)
+    return [outcome["error"] if "error" in outcome else
+            tuple(outcome[name].hex() for name in ("accuracy", "d_kl", "d_em", "final_c_t"))
             for outcome, _ in runner._run_stack(configs)]
 
 
@@ -418,7 +419,7 @@ class TestSweepStacks:
         configs = [runner._cell_config(tiny_experiment(), "haseparator", 3.0, margin, seed)
                    for margin in (0.4, 0.8) for seed in (0, 1)]
         outcomes = runner._run_stack(configs)
-        assert all(isinstance(outcome, tuple) for outcome, _ in outcomes)
+        assert all("error" not in outcome for outcome, _ in outcomes)
         tests = [runner.build_datasets(c.dataset, runner.derive_seeds(c.seed)["data"])[1]
                  for c in configs]
         assert scored == [test.features.tobytes() for test in tests]
