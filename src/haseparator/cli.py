@@ -20,7 +20,8 @@ field path that config.txt echoes, so `train --config <run>/config.txt` and
 <run>/config.txt` replays its evaluation. train.loss.arc_margin is in
 radians, --arc-margin-deg in degrees. Two file lines that set one field
 (one key twice, a flag name and its dotted path, or sweep's seeds beside
-seed or num-seeds) are rejected. Flags override file values, and the
+seed or num-seeds) are rejected, and so is an unknown key, each error
+naming its file and line. Flags override file values, and the
 effective settings are echoed into the output directory next to the results.
 """
 
@@ -161,12 +162,10 @@ def _config(args, command: str):
     keys, flags = _keys(command)
     values = {}
     if args.config:
-        entries = parse_config_file(args.config)
-        unknown = sorted({key for _, key, _ in entries} - set(keys))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         setters = {}
-        for lineno, key, text in entries:
+        for lineno, key, text in parse_config_file(args.config):
+            if key not in keys:
+                raise ConfigError(f"{args.config}:{lineno}: unknown config key {key!r}")
             path, parse = keys[key]
             # sweep's seed and num-seeds each set a part of seeds.
             for part in ("seed", "num-seeds") if path == "seeds" else (path,):

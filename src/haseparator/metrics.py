@@ -55,30 +55,37 @@ class DiscriminationScores:
 
 
 def _pair_rank_sample(total: int, cap: int, rng) -> np.ndarray:
-    """Uniform sample of `cap` distinct ranks from [0, total), seeded.
+    """Uniform sample of `cap` distinct ranks from [0, total), seeded, in
+    int32 when total is below 2**31 and in int64 above.
 
     For spaces not much larger than the cap a partial permutation is used;
     for huge spaces, iid draws are deduplicated (by symmetry any distinct
-    set is equally likely) and thinned to exactly `cap`.
+    set is equally likely) and thinned to exactly `cap`. Either way the
+    ranks are shuffled in place, which takes the values and the rng steps
+    of indexing them with rng.permutation; int32 draws take those of int64
+    ones.
     """
+    dtype = np.int32 if total < 2**31 else np.int64
     if cap >= total:
-        return np.arange(total, dtype=np.int64)
+        return np.arange(total, dtype=dtype)
     if total <= max(4 * cap, 1_000_000):
-        return rng.permutation(total)[:cap].astype(np.int64)
-    chosen = np.array([], dtype=np.int64)
-    while chosen.size < cap:
-        # Sorted distinct values, as np.union1d gives, without its hash pass.
-        # A round holds one array of picks and one mask at a time.
-        draw = rng.integers(0, total, size=2 * (cap - chosen.size) + 16)
-        chosen = np.concatenate([chosen, draw])
-        del draw
-        chosen.sort()
-        distinct = np.empty(chosen.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(chosen[1:], chosen[:-1], out=distinct[1:])
-        chosen = chosen[distinct]
-        del distinct
-    return chosen[rng.permutation(chosen.size)[:cap]]
+        ranks = np.arange(total, dtype=dtype)
+    else:
+        ranks = np.empty(0, dtype=dtype)
+        while ranks.size < cap:
+            # Sorted distinct values, as np.union1d gives, without its hash
+            # pass. A round holds one array of picks and one mask at a time.
+            draw = rng.integers(0, total, size=2 * (cap - ranks.size) + 16, dtype=dtype)
+            ranks = np.concatenate([ranks, draw]) if ranks.size else draw
+            del draw
+            ranks.sort()
+            distinct = np.empty(ranks.size, dtype=bool)
+            distinct[0] = True
+            np.not_equal(ranks[1:], ranks[:-1], out=distinct[1:])
+            ranks = ranks[distinct]
+            del distinct
+    rng.shuffle(ranks)
+    return ranks[:cap].copy()
 
 
 def _locate(starts, ranks):
@@ -87,21 +94,37 @@ def _locate(starts, ranks):
     return block, ranks - starts[block]
 
 
+def _row_norms(embeddings) -> np.ndarray:
+    """The (n, 1) norms that normalize(embeddings, -1) divides by, inf where a
+    row's squared norm overflows. Non-finite embeddings, a diverged model's,
+    raise ConfigError."""
+    nonfinite = int(np.sum(~np.all(np.isfinite(embeddings), axis=1)))
+    if nonfinite:
+        raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(embeddings * embeddings, axis=1, keepdims=True))
+
+
+def _divide_rows(rows, norms) -> np.ndarray:
+    """rows / norms in place, as normalize divides, for norms above EPSILON;
+    a row whose norm is inf is rescaled before it is normalized, so that it
+    keeps its direction."""
+    huge = np.isinf(norms[:, 0])
+    np.divide(rows, norms, out=rows, where=~huge[:, None])
+    if huge.any():
+        big = rows[huge]
+        rows[huge] = normalize(big / np.max(np.abs(big), axis=1, keepdims=True), -1)[0]
+    return rows
+
+
 def unit_rows(embeddings) -> tuple[np.ndarray, np.ndarray]:
     """normalize(embeddings, -1) of a finite float64 matrix, except that rows
     whose squared norm overflows are rescaled before they are normalized, so
     they keep their direction (their norm stays inf). Non-finite embeddings,
     a diverged model's, raise ConfigError."""
-    nonfinite = int(np.sum(~np.all(np.isfinite(embeddings), axis=1)))
-    if nonfinite:
-        raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
-    with np.errstate(over="ignore"):
-        unit, norms = normalize(embeddings, -1)
-    huge = ~np.isfinite(norms[:, 0])
-    if np.any(huge):
-        rows = embeddings[huge]
-        unit[huge] = normalize(rows / np.max(np.abs(rows), axis=1, keepdims=True), -1)[0]
-    return unit, norms
+    norms = _row_norms(embeddings)
+    live = norms > EPSILON
+    return _divide_rows(np.where(live, embeddings, 0.0), np.where(live, norms, 1.0)), norms
 
 
 def pair_angles(
@@ -115,8 +138,9 @@ def pair_angles(
     All pairs are used when a kind has at most max_pairs_per_kind of them;
     otherwise a seeded uniform sample without replacement of exactly that
     many pairs is taken. All-zero embeddings have no direction and are
-    excluded with a warning; unit_rows normalizes the rest, and raises
-    ConfigError on non-finite embeddings (a diverged model).
+    excluded with a warning; the rest are gathered in class order and
+    normalized in place as unit_rows normalizes them, and non-finite
+    embeddings (a diverged model) raise ConfigError.
 
     The angles are computed in ascending rank order, so that the row gathers
     sweep the embeddings in order, and returned in sample order.
@@ -130,7 +154,7 @@ def pair_angles(
     if max_pairs_per_kind < 1:
         raise ConfigError("max_pairs_per_kind must be >= 1")
 
-    unit, norms = unit_rows(embeddings)
+    norms = _row_norms(embeddings)
     keep = norms[:, 0] > EPSILON
     dropped = int(np.sum(~keep))
     if dropped:
@@ -142,7 +166,7 @@ def pair_angles(
     # The kept rows sorted by class, so a sorted position indexes them; the
     # classes present, their sizes and offsets.
     order = np.argsort(labels[kept], kind="stable")
-    unit = unit[kept[order]]
+    unit = _divide_rows(embeddings[kept[order]], norms[kept[order]])
     sizes = np.bincount(labels[kept])
     sizes = sizes[sizes > 0]
     offsets = np.cumsum(sizes) - sizes

@@ -169,13 +169,17 @@ class TestConfigFile:
         assert echo["train.loss.loss_kind"] == "softmax"
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("stepz=30\n")
-        code, _, stderr = run_cli(
-            ["train", "--config", str(cfg), "--out", str(tmp_path / "x")], capsys
-        )
-        assert code == 2
-        assert "unknown config keys" in stderr and "stepz" in stderr
+        # The first unknown key in file order, with its file and line; an
+        # empty key too.
+        for text, lineno, key in (("steps=3\nstepz=30\nbogus=1\n", 2, "stepz"),
+                                  ("=5\n", 1, "")):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text)
+            code, _, stderr = run_cli(
+                ["train", "--config", str(cfg), "--out", str(tmp_path / "x")], capsys
+            )
+            assert code == 2
+            assert stderr == f"error: {cfg}:{lineno}: unknown config key {key!r}\n"
 
     def test_directory_is_a_user_error(self, tmp_path, capsys):
         code, _, stderr = run_cli(

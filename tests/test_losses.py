@@ -308,6 +308,39 @@ class TestHaseparatorForward:
             assert np.all(res.projections >= -1e-12)
             assert res.separator_loss <= cfg.margin * (4 - 1) + 1e-12
 
+    def test_embeddings_along_a_normal_project_within_one_exactly(self):
+        # Such an embedding projects onto its normal at 1 up to rounding,
+        # which 1 / d_tj can carry past 1. The clip must take it back: no
+        # slack is allowed.
+        rng = np.random.default_rng(10)
+        rows = np.arange(4)
+        for _ in range(20):
+            dim, classes = rng.integers(2, 9), rng.integers(2, 7)
+            w = rng.normal(size=(dim, classes))
+            labels = rng.integers(0, classes, size=4)
+            others = (labels + rng.integers(1, classes, size=4)) % classes
+            w_hat = w / np.linalg.norm(w, axis=0)
+            e = (w_hat[:, labels] - w_hat[:, others]).T
+            res = compute_loss(e, w, labels, LossConfig(margin=0.5))
+            assert np.all(np.abs(res.projections) <= 1.0)
+            assert np.all(res.projections[rows, others] >= 1.0 - 1e-12)
+
+    def test_hinge_kink_takes_the_zero_subgradient(self):
+        # With the margin set to a projection p, the hinge of that entry is
+        # at its kink: it must pull as it does at the next margin below p,
+        # where the entry is inactive.
+        rng = np.random.default_rng(11)
+        e, w, labels = random_instance(rng, batch=5, dim=4, classes=3)
+        p = compute_loss(e, w, labels, LossConfig(margin=0.5)).projections
+        p[np.arange(5), labels] = 0.0
+        kinks = p[(p > 0.0) & (p <= 1.0)]
+        assert kinks.size >= 3
+        for kink in kinks.tolist():
+            at = compute_loss(e, w, labels, LossConfig(margin=kink))
+            below = compute_loss(e, w, labels, LossConfig(margin=math.nextafter(kink, 0.0)))
+            assert at.grad_embeddings.tobytes() == below.grad_embeddings.tobytes()
+            assert at.grad_weights.tobytes() == below.grad_weights.tobytes()
+
     def test_descent_direction(self):
         rng = np.random.default_rng(9)
         e, w, labels = random_instance(rng)

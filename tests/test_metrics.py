@@ -25,6 +25,7 @@ from haseparator.metrics import (
     write_histogram_csv,
     write_scores_json,
 )
+from haseparator.runner import derive_seeds
 from haseparator.tensor import normalize
 from helpers import loop_pair_angles, merged_rank_sample, transport_cost
 
@@ -243,6 +244,8 @@ class TestPairAngleChunks:
         # per round of the iid-draw sampler and the positive ranks dropped
         # before the negatives are scored, it traced ~14.8 MiB, and with two
         # 0.5 MiB gather buffers of 1024 rows in place of 2 MiB ones ~13.5 MiB.
+        # Ranks in int32 and the class-ordered rows normalized in place, not
+        # gathered from a normalized copy, traced ~10.8 MiB.
         rng = np.random.default_rng(8)
         e = rng.normal(size=(8000, 64))
         labels = np.repeat(np.arange(50), 160)
@@ -252,7 +255,7 @@ class TestPairAngleChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14.5 * 2**20
+        assert peak < 11.5 * 2**20
 
 
 class RepeatingRng:
@@ -265,12 +268,21 @@ class RepeatingRng:
         self.bit_generator = self._rng.bit_generator
         self.calls = 0
 
-    def integers(self, low, high, size):
+    def integers(self, low, high, size, dtype=np.int64):
         self.calls += 1
-        return np.repeat(self._rng.integers(low, high, size=-(-size // 4)), 4)[:size]
+        return np.repeat(self._rng.integers(low, high, size=-(-size // 4), dtype=dtype), 4)[:size]
 
     def permutation(self, n):
         return self._rng.permutation(n)
+
+    def shuffle(self, x):
+        self._rng.shuffle(x)
+
+
+def assert_same_ranks(got, want, total):
+    """got holds want's int64 ranks, in int32 when total is below 2**31."""
+    assert got.dtype == (np.int32 if total < 2**31 else np.int64)
+    assert got.astype(np.int64).tobytes() == want.tobytes()
 
 
 class TestRankSampler:
@@ -286,6 +298,8 @@ class TestRankSampler:
     @example(total=1_000_000, cap=1000, seed=0, repeating=False)  # the largest permutation
     @example(total=1_000_001, cap=1000, seed=0, repeating=True)  # the smallest iid draw
     @example(total=40, cap=40, seed=0, repeating=False)  # every rank
+    @example(total=2**31 - 1, cap=1000, seed=0, repeating=True)  # the largest in int32
+    @example(total=2**31, cap=1000, seed=0, repeating=False)  # the smallest in int64
     @settings(max_examples=200, deadline=None)
     def test_same_ranks_and_rng_state_as_reference(self, total, cap, seed, repeating):
         rng, reference = (
@@ -293,17 +307,53 @@ class TestRankSampler:
             else (np.random.default_rng(seed), np.random.default_rng(seed))
         )
         got = metrics._pair_rank_sample(total, cap, rng)
-        want = merged_rank_sample(total, cap, reference)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        assert_same_ranks(got, merged_rank_sample(total, cap, reference), total)
         assert rng.bit_generator.state == reference.bit_generator.state
+
+    # The file_roundtrip train split's pair counts (TestPinnedStreams). With
+    # int64 ranks the permutation traced ~6.4 MiB and the iid draws ~7.6 MiB.
+    @pytest.mark.parametrize("total", [636_000, 31_360_000])
+    def test_traced_memory(self, total):
+        tracemalloc.start()
+        try:
+            metrics._pair_rank_sample(total, 200_000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_repeated_draws_take_more_rounds(self):
         rng, reference = RepeatingRng(5), RepeatingRng(5)
         got = metrics._pair_rank_sample(10**9, 5000, rng)
         assert rng.calls >= 2
-        assert got.tobytes() == merged_rank_sample(10**9, 5000, reference).tobytes()
+        assert_same_ranks(got, merged_rank_sample(10**9, 5000, reference), 10**9)
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestPinnedStreams:
+    """The rng streams that pick a run's scored pairs, as literals: a change
+    that moves them moves every score above the pair cap."""
+
+    def test_derive_seeds(self):
+        assert derive_seeds(0) == {
+            "data": 2968811710, "init": 3677149159, "train": 745650761,
+            "eval_train": 2884920346, "eval_test": 2642120001,
+        }
+
+    # The positive and negative pair counts of an 8000-row split of 50
+    # classes of 160: the permutation branch, then the iid-draw branch.
+    @pytest.mark.parametrize("total, seed, ranks_sum, head, tail", [
+        (636_000, 3, 63571057940,
+         [43809, 402436, 582022, 124658, 121994], [204577, 582276, 612544, 630611, 121457]),
+        (31_360_000, 7, 3137301519150,
+         [4927915, 20406774, 28498691, 30589084, 7696911],
+         [8117083, 24931640, 4870895, 8222126, 4991540]),
+    ])
+    def test_pair_rank_sample(self, total, seed, ranks_sum, head, tail):
+        ranks = metrics._pair_rank_sample(total, 200_000, np.random.default_rng(seed))
+        assert ranks.size == 200_000
+        assert int(ranks.sum(dtype=np.int64)) == ranks_sum
+        assert ranks[:5].tolist() == head and ranks[-5:].tolist() == tail
 
 
 class TestBuildHistograms:
