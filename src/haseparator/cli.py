@@ -177,7 +177,7 @@ def _config(args, command: str):
             try:
                 values[path] = parse(text)
             except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
+                raise ConfigError(f"{args.config}:{lineno}: config key {key!r}: {exc}") from None
     for flag in flags:
         path = keys[flag][0]
         if (value := getattr(args, path)) is not None:

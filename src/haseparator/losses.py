@@ -350,8 +350,9 @@ def compute_loss(e, w, labels, config: LossConfig | LossStack) -> LossResult:
         total_loss = ce_loss + separator_loss
         grad_cos += sep_grad_cos
     if np.isinf(e_norms).any() or np.isinf(w_norms).any():
-        # normalize gives a finite vector whose squared norm overflows a zero
-        # direction, so its run's loss stays finite: make it inf (NaN stays).
+        # normalize keeps the direction of a finite vector whose squared norm
+        # overflows, so its run's loss stays finite; that run has left float64
+        # range, so make its loss inf (NaN stays).
         overflow = np.isinf(e_norms).any(axis=(-2, -1)) | np.isinf(w_norms).any(axis=(-2, -1))
         total_loss = np.where(overflow, total_loss + np.inf, total_loss)[()]
 

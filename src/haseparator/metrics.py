@@ -42,10 +42,6 @@ class AngleHistograms:
     def bin_width(self) -> float:
         return float(self.bin_edges[1] - self.bin_edges[0])
 
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
 
 @dataclass
 class DiscriminationScores:
@@ -94,39 +90,6 @@ def _locate(starts, ranks):
     return block, ranks - starts[block]
 
 
-def _row_norms(embeddings) -> np.ndarray:
-    """The (n, 1) norms that normalize(embeddings, -1) divides by, inf where a
-    row's squared norm overflows. Non-finite embeddings, a diverged model's,
-    raise ConfigError."""
-    nonfinite = int(np.sum(~np.all(np.isfinite(embeddings), axis=1)))
-    if nonfinite:
-        raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
-    with np.errstate(over="ignore"):
-        return np.sqrt(np.sum(embeddings * embeddings, axis=1, keepdims=True))
-
-
-def _divide_rows(rows, norms) -> np.ndarray:
-    """rows / norms in place, as normalize divides, for norms above EPSILON;
-    a row whose norm is inf is rescaled before it is normalized, so that it
-    keeps its direction."""
-    huge = np.isinf(norms[:, 0])
-    np.divide(rows, norms, out=rows, where=~huge[:, None])
-    if huge.any():
-        big = rows[huge]
-        rows[huge] = normalize(big / np.max(np.abs(big), axis=1, keepdims=True), -1)[0]
-    return rows
-
-
-def unit_rows(embeddings) -> tuple[np.ndarray, np.ndarray]:
-    """normalize(embeddings, -1) of a finite float64 matrix, except that rows
-    whose squared norm overflows are rescaled before they are normalized, so
-    they keep their direction (their norm stays inf). Non-finite embeddings,
-    a diverged model's, raise ConfigError."""
-    norms = _row_norms(embeddings)
-    live = norms > EPSILON
-    return _divide_rows(np.where(live, embeddings, 0.0), np.where(live, norms, 1.0)), norms
-
-
 def pair_angles(
     embeddings,
     labels,
@@ -138,12 +101,12 @@ def pair_angles(
     All pairs are used when a kind has at most max_pairs_per_kind of them;
     otherwise a seeded uniform sample without replacement of exactly that
     many pairs is taken. All-zero embeddings have no direction and are
-    excluded with a warning; the rest are gathered in class order and
-    normalized in place as unit_rows normalizes them, and non-finite
-    embeddings (a diverged model) raise ConfigError.
+    excluded with a warning; non-finite embeddings (a diverged model) raise
+    ConfigError. The rows are normalized in input order and read in class
+    order through an index.
 
     The angles are computed in ascending rank order, so that the row gathers
-    sweep the embeddings in order, and returned in sample order.
+    sweep the rows in class order, and returned in sample order.
     """
     embeddings = as_matrix(embeddings)
     labels = np.asarray(labels)
@@ -154,7 +117,11 @@ def pair_angles(
     if max_pairs_per_kind < 1:
         raise ConfigError("max_pairs_per_kind must be >= 1")
 
-    norms = _row_norms(embeddings)
+    nonfinite = int(np.sum(~np.all(np.isfinite(embeddings), axis=1)))
+    if nonfinite:
+        raise ConfigError(f"{nonfinite} embeddings are non-finite (nan or inf)")
+    with np.errstate(over="ignore"):
+        unit, norms = normalize(embeddings, -1)
     keep = norms[:, 0] > EPSILON
     dropped = int(np.sum(~keep))
     if dropped:
@@ -163,10 +130,9 @@ def pair_angles(
     if kept.size < 2:
         raise ConfigError("need at least 2 nonzero embeddings")
 
-    # The kept rows sorted by class, so a sorted position indexes them; the
-    # classes present, their sizes and offsets.
-    order = np.argsort(labels[kept], kind="stable")
-    unit = _divide_rows(embeddings[kept[order]], norms[kept[order]])
+    # The rows of unit sorted by class, so order[k] is sorted position k's
+    # row; the classes present, their sizes and offsets.
+    order = kept[np.argsort(labels[kept], kind="stable")]
     sizes = np.bincount(labels[kept])
     sizes = sizes[sizes > 0]
     offsets = np.cumsum(sizes) - sizes
@@ -211,8 +177,8 @@ def pair_angles(
         for s in range(0, ranks.size, PAIR_CHUNK):
             chunk = visit[s:s + PAIR_CHUNK]
             i, j = unrank(ranks[chunk])
-            a = np.take(unit, i, axis=0, out=first[:chunk.size], mode="clip")
-            b = np.take(unit, j, axis=0, out=second[:chunk.size], mode="clip")
+            a = np.take(unit, order[i], axis=0, out=first[:chunk.size], mode="clip")
+            b = np.take(unit, order[j], axis=0, out=second[:chunk.size], mode="clip")
             out[chunk] = np.einsum("ij,ij->i", a, b)
         np.clip(out, -1.0, 1.0, out=out)
         return np.degrees(np.arccos(out, out=out), out=out)

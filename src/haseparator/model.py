@@ -42,20 +42,8 @@ class MlpModel:
     class_weights: np.ndarray
 
     @property
-    def embedding_dim(self) -> int:
-        return self.layer_dims[-1]
-
-    @property
     def num_classes(self) -> int:
         return self.class_weights.shape[-1]
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_dims=self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            class_weights=self.class_weights.copy(),
-        )
 
 
 @dataclass

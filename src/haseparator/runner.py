@@ -50,7 +50,6 @@ from .metrics import (
     emd_1d,
     kl_divergence,
     pair_angles,
-    unit_rows,
     write_histogram_csv,
     write_scores_json,
 )
@@ -75,7 +74,8 @@ class DatasetConfig:
     from the experiment seed; rings is inherently 2 classes in 2 dims, so
     num_classes and dim apply to blobs only. train_fraction applies to file
     datasets (synthetic generators split 80/20 internally). A kind that
-    config.txt would not give back is rejected.
+    config.txt would not give back, or a file kind without a path, is
+    rejected.
     """
 
     kind: str = "blobs"
@@ -93,6 +93,8 @@ class DatasetConfig:
                 f"dataset kind must be one of {DATASET_KINDS} or {FILE_PREFIX}<path>, "
                 f"got {self.kind!r}"
             )
+        if self.kind == FILE_PREFIX:
+            raise ConfigError(f"dataset kind {self.kind!r} names no file: use {FILE_PREFIX}<path>")
         if CONFIG_COMMENT.split(self.kind, 1)[0].strip() != self.kind or "\n" in self.kind:
             raise ConfigError(f"config.txt cannot hold dataset kind {self.kind!r}: a line "
                               "break, edge whitespace or whitespace before # would change it")
@@ -174,17 +176,21 @@ def evaluate_model(
     max_pairs: int = DEFAULT_MAX_PAIRS,
     seed=0,
 ) -> tuple[AngleHistograms, DiscriminationScores, np.ndarray]:
-    """Embed a split without a backward trace and score it: accuracy as the
-    argmax of the cosines, D_KL and D_EM from the positive/negative
-    pair-angle histograms. Both read the embeddings' directions from
-    unit_rows."""
+    """Embed a split without a backward trace and score it: D_KL and D_EM
+    from the positive/negative pair-angle histograms, and accuracy as the
+    argmax of the cosines. Both read the embeddings' directions from
+    normalize. pair_angles rejects non-finite embeddings (a diverged model)
+    before accuracy reads them."""
     embeddings = embed(model, dataset.features)
-    cosines = unit_rows(embeddings)[0] @ normalize(model.class_weights, 0)[0]
-    acc = accuracy(cosines, dataset.labels)
-    del cosines  # rows x C, not needed while the pairs are scored
-    pos, neg = pair_angles(embeddings, dataset.labels, max_pairs_per_kind=max_pairs, seed=seed)
-    hist = build_histograms(pos, neg, num_bins=bins)
-    scores = DiscriminationScores(d_kl=kl_divergence(hist), d_em=emd_1d(hist), accuracy=acc)
+    # The angles are dropped once they are counted, before accuracy runs.
+    hist = build_histograms(
+        *pair_angles(embeddings, dataset.labels, max_pairs_per_kind=max_pairs, seed=seed),
+        num_bins=bins,
+    )
+    with np.errstate(over="ignore"):
+        cosines = normalize(embeddings, -1)[0] @ normalize(model.class_weights, 0)[0]
+    scores = DiscriminationScores(d_kl=kl_divergence(hist), d_em=emd_1d(hist),
+                                  accuracy=accuracy(cosines, dataset.labels))
     return hist, scores, embeddings
 
 

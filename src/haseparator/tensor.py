@@ -3,8 +3,10 @@
 Matrices are 2-d float64 numpy arrays (row-major). The training core also
 takes stacks of them: 3-d arrays whose leading axis indexes independent runs
 of one sweep. as_matrix and as_labels validate input at public entry points;
-normalize and its backward trust their input. Every operation allocates a
-fresh output and is deterministic.
+normalize and its backward trust their input. Training (the losses'
+embeddings and class columns) and evaluation (accuracy and pair angles)
+both call normalize, so they read the same direction from every vector.
+Every operation allocates a fresh output and is deterministic.
 """
 
 from __future__ import annotations
@@ -55,16 +57,22 @@ def normalize(m: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row (axis=-1) or column (axis=-2) of m to unit Euclidean norm.
 
     Returns (unit, norms), with norms keeping the reduced axis. Vectors with
-    norm <= EPSILON come back as zeros. m is not validated; callers pass a
-    checked float64 matrix.
+    norm <= EPSILON come back as zeros. A finite vector whose squared norm
+    overflows keeps its direction: it is divided by its largest absolute
+    entry and normalized again, while its norm stays inf. m is not
+    validated; callers pass a checked float64 matrix.
     """
     unit = m * m
     norms = np.sqrt(np.sum(unit, axis=axis, keepdims=True))
-    # With every norm above EPSILON the masks below change nothing, so one
-    # division gives the same bits. A NaN norm fails the test.
-    if np.all(norms > EPSILON):
+    # With every norm above EPSILON and finite the masks below change
+    # nothing, so one division gives the same bits. A NaN norm fails the test.
+    if EPSILON < norms.min() and norms.max() < np.inf:
         return np.divide(m, norms, out=unit), norms
     unit = m / np.where(norms > EPSILON, norms, 1.0)
+    huge = np.isinf(norms) & np.all(np.isfinite(m), axis=axis, keepdims=True)
+    if huge.any():
+        peak = np.max(np.abs(m), axis=axis, keepdims=True)
+        unit = np.where(huge, normalize(m / np.where(huge, peak, 1.0), axis)[0], unit)
     return np.where(norms <= EPSILON, 0.0, unit), norms
 
 

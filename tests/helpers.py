@@ -270,6 +270,11 @@ def hinge_cost(projections, margin: float, labels) -> tuple[np.ndarray, float]:
 def reference_normalize(m, axis):
     norms = np.sqrt(np.sum(m * m, axis=axis, keepdims=True))
     unit = m / np.where(norms > EPSILON, norms, 1.0)
+    # An all-finite vector whose norm overflows is reference_normalize(v / max|v|).
+    huge = np.isinf(norms) & np.all(np.isfinite(m), axis=axis, keepdims=True)
+    if huge.any():
+        peak = np.max(np.abs(m), axis=axis, keepdims=True)
+        unit = np.where(huge, reference_normalize(m / np.where(huge, peak, 1.0), axis)[0], unit)
     return np.where(norms <= EPSILON, 0.0, unit), norms
 
 

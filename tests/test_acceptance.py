@@ -8,6 +8,7 @@ checklist. Failures still raise with the collected details.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -188,7 +189,8 @@ def test_distance_oracle(capsys):
         pos[rng.integers(0, bins)] += 1  # guarantee mass on both sides
         neg[rng.integers(0, bins)] += 1
         hist = _hist(pos, neg)
-        expected = transport_cost(pos / pos.sum(), neg / neg.sum(), hist.bin_centers)
+        centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
+        expected = transport_cost(pos / pos.sum(), neg / neg.sum(), centers)
         got = emd_1d(hist)
         if abs(got - expected) >= 1e-9:
             failures.append(f"trial {trial}: emd {got!r} vs transport {expected!r}")
@@ -281,6 +283,70 @@ def test_margin_sweep_behavior(capsys):
     if elapsed >= 600.0:
         failures.append(f"took {elapsed:.0f}s, budget 600s")
     _report(capsys, "margin sweep: stability, separation gain, accuracy parity", failures)
+
+
+# Golden record: one seeded run per loss kind on the sweep template at 30
+# steps, scoring 200 pairs a kind in 18 bins of 10 degrees. 200 is below
+# every kind's pair count in both splits (the test split has 330 positive
+# pairs), so the evaluation rng streams pick the pairs. Per loss kind: each
+# split's positive and negative counts, d_kl, d_em and accuracy, then the
+# last history row (HISTORY_COLUMNS). Counts and accuracy are pinned
+# exactly, the rest to a relative 1e-12. A change that means to move them
+# updates them and says why in CHANGES.md.
+GOLDEN_STEPS, GOLDEN_BINS, GOLDEN_PAIRS = 30, 18, 200
+GOLDEN = {
+    SOFTMAX: (
+        {"train": ([1, 14, 41, 41, 42, 21, 13, 9, 6, 5, 5, 2, 0, 0, 0, 0, 0, 0],
+                   [0, 0, 1, 4, 5, 7, 11, 10, 27, 34, 46, 31, 15, 8, 1, 0, 0, 0],
+                   3.1451395870537784, 51.4, 0.8958333333333334),
+         "test": ([0, 12, 19, 25, 32, 32, 17, 19, 15, 7, 8, 7, 4, 3, 0, 0, 0, 0],
+                  [0, 2, 4, 7, 5, 6, 12, 27, 17, 27, 33, 25, 23, 8, 3, 1, 0, 0],
+                  0.7681496411354839, 34.39999999999999, 0.7833333333333333)},
+        [0.1, 0.44310203030250084, 0.44310203030250084, 0.0, 0.890625],
+    ),
+    HASEPARATOR: (
+        {"train": ([24, 46, 51, 28, 14, 13, 2, 2, 4, 12, 2, 2, 0, 0, 0, 0, 0, 0],
+                   [0, 2, 2, 3, 2, 6, 7, 8, 17, 38, 47, 33, 29, 6, 0, 0, 0, 0],
+                   4.370777779378294, 66.35000000000001, 0.9083333333333333),
+         "test": ([13, 28, 27, 29, 18, 13, 10, 7, 13, 12, 12, 8, 8, 1, 1, 0, 0, 0],
+                  [2, 3, 10, 4, 7, 4, 5, 18, 25, 24, 33, 26, 27, 8, 3, 1, 0, 0],
+                  0.7624371840468325, 39.900000000000006, 0.7666666666666667)},
+        [0.1, 1.3795096151832937, 0.4286800297959927, 0.9508295853873011, 0.875],
+    ),
+    ARCFACE: (
+        {"train": ([7, 50, 49, 29, 31, 9, 1, 3, 7, 5, 6, 3, 0, 0, 0, 0, 0, 0],
+                   [0, 2, 3, 2, 1, 8, 8, 10, 23, 39, 52, 29, 15, 7, 1, 0, 0, 0],
+                   2.882685123295736, 60.5, 0.8958333333333334),
+         "test": ([4, 22, 27, 28, 29, 15, 12, 8, 14, 15, 8, 8, 6, 4, 0, 0, 0, 0],
+                  [0, 4, 7, 8, 8, 2, 11, 16, 25, 30, 32, 30, 18, 7, 1, 1, 0, 0],
+                  0.9977311343845056, 35.00000000000001, 0.7833333333333333)},
+        [0.1, 0.76453722168636, 0.76453722168636, 0.0, 0.8125],
+    ),
+}
+
+
+def test_golden_record(capsys):
+    failures = []
+    for kind, (splits, last_row) in GOLDEN.items():
+        train_config = replace(SWEEP_TEMPLATE.train, steps=GOLDEN_STEPS,
+                               loss=LossConfig(loss_kind=kind))
+        result = run_experiment(replace(SWEEP_TEMPLATE, train=train_config,
+                                        bins=GOLDEN_BINS, max_pairs=GOLDEN_PAIRS))
+        for split, (pos, neg, d_kl, d_em, acc) in splits.items():
+            hist, scores = result.hists[split], result.scores[split]
+            if hist.pos_counts.tolist() != pos or hist.neg_counts.tolist() != neg:
+                failures.append(f"{kind} {split}: counts {hist.pos_counts.tolist()} "
+                                f"{hist.neg_counts.tolist()}")
+            if scores.accuracy != acc:
+                failures.append(f"{kind} {split}: accuracy {scores.accuracy!r}, pinned {acc!r}")
+            for name, got, want in (("d_kl", scores.d_kl, d_kl), ("d_em", scores.d_em, d_em)):
+                if not math.isclose(got, want, rel_tol=1e-12):
+                    failures.append(f"{kind} {split}: {name} {got!r}, pinned {want!r}")
+        row = result.report.history[-1].tolist()
+        if not all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(row, last_row, strict=True)):
+            failures.append(f"{kind}: last history row {row}, pinned {last_row}")
+    _report(capsys, "golden record: counts, scores and last history row per loss kind",
+            failures)
 
 
 def test_training_contract(capsys):

@@ -197,6 +197,25 @@ class TestConfigFile:
         assert code == 2
         assert "steps" in stderr
 
+    def test_bad_value_names_its_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("# three steps\nsteps=abc\n")
+        code, _, stderr = run_cli(
+            ["train", "--config", str(cfg), "--out", str(tmp_path / "x")], capsys
+        )
+        assert code == 2
+        assert stderr == (f"error: {cfg}:2: config key 'steps': "
+                          "invalid literal for int() with base 10: 'abc'\n")
+
+    def test_file_dataset_without_a_path_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("dataset=file:\n")
+        out = tmp_path / "x"
+        code, _, stderr = run_cli(["train", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert stderr == "error: dataset kind 'file:' names no file: use file:<path>\n"
+        assert not out.exists()
+
     # (command, file text, the key of the first line that sets the field and
     # its line number, the key that sets it again and its line number)
     @pytest.mark.parametrize("command, text, first, second", [

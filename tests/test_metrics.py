@@ -21,12 +21,10 @@ from haseparator.metrics import (
     emd_1d,
     kl_divergence,
     pair_angles,
-    unit_rows,
     write_histogram_csv,
     write_scores_json,
 )
 from haseparator.runner import derive_seeds
-from haseparator.tensor import normalize
 from helpers import loop_pair_angles, merged_rank_sample, transport_cost
 
 counts_strategy = st.lists(st.integers(0, 50), min_size=2, max_size=16)
@@ -137,17 +135,6 @@ class TestPairAngles:
         np.testing.assert_allclose(pos, [45.0, 45.0], atol=1e-9)
         np.testing.assert_allclose(neg, [90.0, 135.0, 45.0, 90.0], atol=1e-9)
 
-    def test_unit_rows_rescales_only_rows_whose_norm_overflows(self):
-        rng = np.random.default_rng(5)
-        rows = rng.normal(size=(8, 4))
-        scaled = rows * np.array([2.0**1000, 1.0] * 4)[:, None]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            unit, norms = unit_rows(scaled)
-        assert np.isinf(norms[::2]).all() and np.isfinite(norms[1::2]).all()
-        assert unit[1::2].tobytes() == normalize(rows[1::2], -1)[0].tobytes()
-        np.testing.assert_allclose(unit[::2], normalize(rows[::2], -1)[0], rtol=0, atol=1e-15)
-
     def test_empty_labels_rejected_as_label_error(self):
         with pytest.raises(LabelError, match="non-empty"):
             pair_angles(np.ones((3, 2)), [])
@@ -245,7 +232,8 @@ class TestPairAngleChunks:
         # before the negatives are scored, it traced ~14.8 MiB, and with two
         # 0.5 MiB gather buffers of 1024 rows in place of 2 MiB ones ~13.5 MiB.
         # Ranks in int32 and the class-ordered rows normalized in place, not
-        # gathered from a normalized copy, traced ~10.8 MiB.
+        # gathered from a normalized copy, traced ~10.8 MiB; so do the rows
+        # normalized once in input order and read through the class order.
         rng = np.random.default_rng(8)
         e = rng.normal(size=(8000, 64))
         labels = np.repeat(np.arange(50), 160)
@@ -452,9 +440,8 @@ class TestEmd1d:
             if pos.sum() == 0 or neg.sum() == 0:
                 continue
             h = hist_from_counts(pos, neg)
-            expected = transport_cost(
-                pos / pos.sum(), neg / neg.sum(), h.bin_centers
-            )
+            centers = 0.5 * (h.bin_edges[:-1] + h.bin_edges[1:])
+            expected = transport_cost(pos / pos.sum(), neg / neg.sum(), centers)
             assert emd_1d(h) == pytest.approx(expected, abs=1e-9)
             checked += 1
 

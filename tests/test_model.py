@@ -112,7 +112,7 @@ class TestBackward:
         model = small_model(seed=8)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(4, 3))
-        direction = rng.normal(size=(4, model.embedding_dim))
+        direction = rng.normal(size=(4, model.layer_dims[-1]))
 
         def loss_value():
             return float(np.sum(forward(model, x).embeddings * direction))
@@ -167,7 +167,7 @@ class TestBackward:
         model = small_model()
         trace = forward(model, np.ones((3, 3)))
         with pytest.raises(ShapeError):
-            backward(model, trace, np.zeros((5, model.embedding_dim)))
+            backward(model, trace, np.zeros((5, model.layer_dims[-1])))
 
 
 class TestCheckpoint:

@@ -1,10 +1,12 @@
 import concurrent.futures
+import copy
 import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +59,10 @@ class TestDatasetConfig:
 
     def test_file_kind_accepted(self):
         DatasetConfig(kind="file:/tmp/x.csv")
+
+    def test_file_kind_without_a_path_rejected(self):
+        with pytest.raises(ConfigError, match="names no file"):
+            DatasetConfig(kind="file:")
 
 
 class TestExperimentConfig:
@@ -163,13 +169,27 @@ class TestEvaluateModel:
         # accuracy must not move; a normalize that zeroes such rows scored
         # every row as class 0.
         result = run_experiment(tiny_experiment())
-        model = result.model.copy()
+        model = copy.deepcopy(result.model)
         model.weights[-1] *= 2.0**1000
         model.biases[-1] *= 2.0**1000
         _, scores, embeddings = evaluate_model(model, result.test_data)
         assert np.isinf(np.sum(embeddings * embeddings, axis=1)).all()
         assert np.mean(result.test_data.labels == 0) < result.scores["test"].accuracy
         assert scores.accuracy == result.scores["test"].accuracy
+
+    def test_accuracy_reads_class_columns_whose_norm_overflows(self):
+        # A class column scaled by 2**1000 keeps its direction, and its
+        # squared norm overflows. A normalize that zeroed it scored 0.65 for
+        # 0.75 here and printed numpy's overflow warning.
+        config = replace(tiny_experiment(), dataset=DatasetConfig(num_classes=5, per_class=20))
+        result = run_experiment(config)
+        for column in range(5):
+            model = copy.deepcopy(result.model)
+            model.class_weights[:, column] *= 2.0**1000
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, scores, _ = evaluate_model(model, result.test_data)
+            assert scores.accuracy == result.scores["test"].accuracy
 
 
 class TestEmbeddingsNpz:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,29 @@ class TestNormalization:
     def test_columns_unit_or_zero(self, m):
         norms = np.linalg.norm(normalize(m, 0)[0], axis=0)
         assert np.all((np.abs(norms - 1.0) <= 1e-12) | (norms == 0.0))
+
+    @pytest.mark.parametrize("axis", [-1, -2], ids=["rows", "columns"])
+    @pytest.mark.parametrize("shape", [(8, 6), (3, 8, 6)], ids=["2d", "stacked"])
+    def test_rescales_only_vectors_whose_norm_overflows(self, axis, shape):
+        # Every other row (axis -1) or column (axis -2) is scaled by 2**1000,
+        # so its squared norm overflows. It keeps its direction and an inf
+        # norm; the other vectors keep the bits of the unscaled matrix's.
+        m = np.random.default_rng(5).normal(size=shape)
+        across = -3 - axis  # the axis that indexes the vectors
+        evens, odds = range(0, shape[across], 2), range(1, shape[across], 2)
+        scale = np.ones(shape[across])
+        scale[evens] = 2.0**1000
+        scale = scale.reshape((-1, 1) if axis == -1 else (1, -1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                unit, norms = normalize(m * scale, axis)
+        want = normalize(m, axis)[0]
+        assert np.isinf(np.take(norms, evens, axis=across)).all()
+        assert np.isfinite(np.take(norms, odds, axis=across)).all()
+        assert np.take(unit, odds, axis=across).tobytes() == np.take(want, odds, axis=across).tobytes()
+        np.testing.assert_allclose(np.take(unit, evens, axis=across),
+                                   np.take(want, evens, axis=across), rtol=0, atol=1e-15)
 
 
 class TestBatchedContract:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 import re
@@ -103,7 +104,7 @@ class TestSgdStep:
 
 def reference_train(model, data, config, seed):
     """train() written out per parameter with the pure reference update."""
-    model = model.copy()
+    model = copy.deepcopy(model)
     params = [*model.weights, *model.biases, model.class_weights]
     velocities = [np.zeros_like(p) for p in params]
     n = len(model.weights)
@@ -383,7 +384,7 @@ class TestTrain:
         model = init_model((data.dim, 6, 4), data.num_classes, seed=14)
         report = train(model, data, cfg, seed=13)
 
-        oracle = model.copy()
+        oracle = copy.deepcopy(model)
         rng = np.random.default_rng(13)
         for step in range(7):
             order = rng.permutation(len(data))
